@@ -37,7 +37,7 @@ def run_experiment(benchmark, config, label: str) -> ExperimentResult:
         "avg_rt_ms": round(stats.mean_ms, 2),
         "vlrt_pct": round(100 * stats.vlrt_fraction, 3),
         "normal_pct": round(100 * stats.normal_fraction, 2),
-        "drops": result.dropped_packets(),
+        "drops": result.metrics.drops,
     })
     return result
 

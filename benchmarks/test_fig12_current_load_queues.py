@@ -47,6 +47,6 @@ def test_fig12_current_load_queues(benchmark):
     assert tomcat_tier.max() < 80
     # The Apache tier no longer amplifies.
     assert apache_tier.max() < original_apache.max() / 3
-    assert result.dropped_packets() == 0
+    assert result.metrics.drops == 0
     # Millibottlenecks still happened — they just stopped mattering.
     assert len(result.system.millibottleneck_records()) >= 4

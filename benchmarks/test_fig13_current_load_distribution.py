@@ -49,4 +49,4 @@ def test_fig13_current_load_distribution(benchmark):
         total = sum(counts.values())
         assert total > 0
         assert counts[record.host] / total < 0.2
-    assert result.dropped_packets() == 0
+    assert result.metrics.drops == 0

@@ -48,5 +48,5 @@ def test_fig8_queues_with_modified_get_endpoint(benchmark):
     combined_remedied = remedied_apache.max() + remedied_tomcat.max()
     combined_original = original_apache.max() + original_tomcat.max()
     assert combined_remedied < 0.5 * combined_original
-    assert remedied.dropped_packets() == 0
-    assert original.dropped_packets() > 0
+    assert remedied.metrics.drops == 0
+    assert original.metrics.drops > 0

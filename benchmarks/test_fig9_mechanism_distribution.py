@@ -48,4 +48,4 @@ def test_fig9_distribution_with_modified_get_endpoint(benchmark):
         assert healthy > 5
         assert counts[record.host] <= max(2, 0.1 * healthy)
     # No request was lost anywhere.
-    assert result.dropped_packets() == 0
+    assert result.metrics.drops == 0

@@ -114,5 +114,5 @@ def test_traced_scenario_overhead_is_bounded(benchmark):
     # Pure observation: identical results either way.
     assert traced.stats().count == untraced.stats().count
     assert traced.stats().mean == pytest.approx(untraced.stats().mean)
-    assert traced.dropped_packets() == untraced.dropped_packets()
+    assert traced.metrics.drops == untraced.metrics.drops
     assert ratio < MAX_TRACED_RATIO

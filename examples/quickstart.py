@@ -33,7 +33,7 @@ def main() -> None:
     print("99th percentile    : {:.2f} ms".format(stats.p99 * 1000))
     print("VLRT (>1 s)        : {} ({:.2f}%)".format(
         stats.vlrt_count, 100 * stats.vlrt_fraction))
-    print("packets dropped    : {}".format(result.dropped_packets()))
+    print("packets dropped    : {}".format(result.metrics.drops))
     print("millibottlenecks   : {}".format(
         len(result.system.millibottleneck_records())))
     print()

@@ -17,7 +17,7 @@ Quickstart::
     from repro import ExperimentRunner, Scenario
 
     result = ExperimentRunner(Scenario.named("table1/current_load")).run()
-    print(result.summary())
+    print(result.metrics.summary())
 """
 
 __version__ = "1.0.0"
@@ -27,6 +27,8 @@ from repro.cluster.runner import (
     ExperimentConfig,
     ExperimentResult,
     ExperimentRunner,
+    Grid,
+    RunMetrics,
     compare_policies,
 )
 from repro.cluster.scenarios import Scenario
@@ -53,13 +55,7 @@ from repro.errors import (
 )
 from repro.metrics.stats import ResponseTimeStats
 from repro.osmodel.profiles import MillibottleneckProfile
-from repro.parallel import (
-    ExperimentSummary,
-    Replication,
-    replicate,
-    run_experiments,
-    summarize,
-)
+from repro.parallel import Replication, replicate, run_experiments
 from repro.workload.mix import browsing_only_mix, read_write_mix
 
 __all__ = [
@@ -68,6 +64,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentRunner",
+    "RunMetrics",
+    "Grid",
     "Scenario",
     "ScaleProfile",
     "compare_policies",
@@ -75,11 +73,9 @@ __all__ = [
     "build_system",
     "build_from_spec",
     "TopologySpec",
-    "ExperimentSummary",
     "Replication",
     "replicate",
     "run_experiments",
-    "summarize",
     # the contribution
     "LoadBalancer",
     "DirectDispatcher",

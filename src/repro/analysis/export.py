@@ -68,8 +68,8 @@ def export_result(result: ExperimentResult, directory: PathLike) -> Path:
         "bundle": result.config.bundle_key,
         "duration": result.duration,
         "seed": result.config.seed,
-        "table1_row": result.table1_row(),
-        "dropped_packets": result.dropped_packets(),
+        "table1_row": result.metrics.table1_row(),
+        "dropped_packets": result.metrics.drops,
         "average_cpu": result.average_cpu(),
         "millibottlenecks": [
             {

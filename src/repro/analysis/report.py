@@ -1,19 +1,21 @@
-"""Report builders: Table I, paper-vs-measured comparisons, summaries.
+"""Report builders: Table I, paper-vs-measured comparisons, grid tables.
 
-Every builder duck-types its inputs on the shared reporting surface
-(``config``, ``stats()``, ``table1_row()``), so it accepts full
-:class:`~repro.cluster.runner.ExperimentResult` objects from serial
-runs and :class:`~repro.parallel.ExperimentSummary` objects from
-process-pool fan-outs interchangeably.
+The Table-I builders take :class:`~repro.cluster.runner.RunMetrics`
+(as :func:`~repro.cluster.runner.compare_policies` returns them); the
+grid tables take the ``(labels, RunMetrics)`` rows of
+:meth:`~repro.cluster.runner.Grid.run`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.analysis.asciiplot import table
-from repro.cluster.runner import ExperimentResult
+from repro.cluster.runner import RunMetrics
 from repro.errors import AnalysisError
+
+#: One ``(labels, metrics)`` row of a :class:`~repro.cluster.runner.Grid`.
+Row = tuple[dict[str, str], RunMetrics]
 
 #: The paper's Table I, for side-by-side comparison.  Values are
 #: (avg response time ms, %VLRT, %normal).
@@ -27,7 +29,7 @@ PAPER_TABLE1: dict[str, tuple[float, float, float]] = {
 }
 
 
-def table1(results: Sequence[ExperimentResult]) -> str:
+def table1(results: Sequence[RunMetrics]) -> str:
     """Render measured results in the paper's Table I format."""
     if not results:
         raise AnalysisError("no results to report")
@@ -46,7 +48,7 @@ def table1(results: Sequence[ExperimentResult]) -> str:
     return table(headers, rows)
 
 
-def table1_with_paper(results: Sequence[ExperimentResult]) -> str:
+def table1_with_paper(results: Sequence[RunMetrics]) -> str:
     """Measured vs paper values, one row per bundle."""
     headers = ["Policy", "Avg RT ms (ours)", "Avg RT ms (paper)",
                "%VLRT (ours)", "%VLRT (paper)"]
@@ -65,7 +67,7 @@ def table1_with_paper(results: Sequence[ExperimentResult]) -> str:
     return table(headers, rows)
 
 
-def rematch_table(rows: Sequence[dict]) -> str:
+def rematch_table(rows: Sequence[Row]) -> str:
     """Render the modern-policy rematch grid (``table1 --policies``).
 
     One row per (bundle, fault) cell; ``probes/s`` is the probe-message
@@ -78,23 +80,109 @@ def rematch_table(rows: Sequence[dict]) -> str:
     headers = ["Bundle", "Fault", "%VLRT", "Avail%", "Goodput/s",
                "Probes/s", "Sticky", "Reqs", "Drops", "503s"]
     body = []
-    for row in rows:
+    for labels, run in rows:
         body.append([
-            row["bundle"],
-            row["fault"],
-            "{:.3f}".format(row["vlrt_pct"]),
-            "{:.2f}".format(100.0 * row["availability"]),
-            "{:.1f}".format(row["goodput"]),
-            "{:.1f}".format(row["probes_per_s"]),
-            row["sticky_violations"],
-            row["requests"],
-            row["drops"],
-            row["errors_503"],
+            labels["bundle"],
+            labels["fault"],
+            "{:.3f}".format(run.vlrt_pct()),
+            "{:.2f}".format(100.0 * run.availability()),
+            "{:.1f}".format(run.goodput()),
+            "{:.1f}".format(run.probes_per_s()),
+            run.sticky_violations,
+            run.response_stats.count,
+            run.drops,
+            run.errors_503,
         ])
     return table(headers, body)
 
 
-def improvement_factors(results: Sequence[ExperimentResult],
+#: A fixed-width column: header, alignment and width (``"<15"``), value
+#: format (``".2f"``), and the value of a ``(labels, metrics)`` row.
+Column = tuple[str, str, str, Callable[[dict[str, str], RunMetrics], Any]]
+
+
+def fixed_width_table(columns: Sequence[Column], rows: Sequence[Row],
+                      detail: Optional[Callable[[RunMetrics],
+                                                Optional[str]]] = None
+                      ) -> str:
+    """Header, dashed rule, one line per row (plus an optional
+    ``detail`` line under it)."""
+    header = " ".join(format(name, width + "s")
+                      for name, width, _, _ in columns)
+    lines = [header, "-" * len(header)]
+    for labels, run in rows:
+        lines.append(" ".join(format(value(labels, run), width + spec)
+                              for _, width, spec, value in columns))
+        extra = detail(run) if detail is not None else None
+        if extra is not None:
+            lines.append(extra)
+    return "\n".join(lines)
+
+
+def _ttr(run: RunMetrics) -> str:
+    if run.ttr is None:
+        return "-"
+    if run.ttr == float("inf"):
+        return "never"
+    return "{:.2f}".format(run.ttr)
+
+
+CHAOS_COLUMNS: tuple[Column, ...] = (
+    ("fault", "<15", "s", lambda labels, run: labels["fault"]),
+    ("remedy", "<18", "s", lambda labels, run: labels["remedy"]),
+    ("bundle", "<24", "s", lambda labels, run: labels["bundle"]),
+    ("avail%", ">6", ".2f", lambda labels, run: 100.0 * run.availability()),
+    ("vlrt%", ">7", ".3f", lambda labels, run: run.vlrt_pct()),
+    ("amp", ">5", ".2f", lambda labels, run: run.retry_amplification()),
+    ("goodput", ">8", ".1f", lambda labels, run: run.goodput()),
+    ("reqs", ">7", "d", lambda labels, run: run.response_stats.count),
+    ("drops", ">6", "d", lambda labels, run: run.drops),
+    ("503s", ">5", "d", lambda labels, run: run.errors_503),
+    ("shed%", ">6", ".2f", lambda labels, run: run.shed_pct()),
+    ("ttr", ">6", "s", lambda labels, run: _ttr(run)),
+)
+
+
+def chaos_table(rows: Sequence[Row]) -> str:
+    """The fault x remedy x bundle chaos grid (``repro-lb chaos``)."""
+    return fixed_width_table(CHAOS_COLUMNS, rows)
+
+
+GEO_COLUMNS: tuple[Column, ...] = (
+    ("topology", "<9", "s", lambda labels, run: labels["topology"]),
+    ("fault", "<16", "s", lambda labels, run: labels["fault"]),
+    ("reqs", ">6", "d", lambda labels, run: run.response_stats.count),
+    ("vlrt%", ">7", ".3f", lambda labels, run: run.vlrt_pct()),
+    ("avail%", ">7", ".2f", lambda labels, run: 100.0 * run.availability()),
+    ("drops", ">6", "d", lambda labels, run: run.drops),
+    ("503s", ">5", "d", lambda labels, run: run.errors_503),
+    ("spill", ">6", "d", lambda labels, run: run.spillovers),
+    ("wan_rtx", ">8", "d", lambda labels, run: run.wan_retransmits),
+    ("hit%", ">8", ".1f", lambda labels, run: run.cache_hit_pct()),
+)
+
+#: The critical-path buckets a traced geo cell reports, as shares of
+#: VLRT time.
+GEO_BUCKETS = ("wan.transit", "retransmission", "cache.miss_penalty",
+               "queue_wait.mysql")
+
+
+def _geo_buckets(run: RunMetrics) -> Optional[str]:
+    if run.vlrt_buckets is None:
+        return None
+    return "          vlrt time: " + "  ".join(
+        "{}={:.1f}%".format(bucket,
+                            100.0 * run.vlrt_buckets.get(bucket, 0.0))
+        for bucket in GEO_BUCKETS)
+
+
+def geo_table(rows: Sequence[Row]) -> str:
+    """The {hierarchy, flat} x geo-fault grid (``repro-lb geo``); traced
+    cells get a line of VLRT-time shares per bucket."""
+    return fixed_width_table(GEO_COLUMNS, rows, detail=_geo_buckets)
+
+
+def improvement_factors(results: Sequence[RunMetrics],
                         baseline_key: str = "original_total_request"
                         ) -> dict[str, float]:
     """Average-RT improvement of each run relative to the baseline run.
@@ -113,7 +201,7 @@ def improvement_factors(results: Sequence[ExperimentResult],
     }
 
 
-def shape_check(results: Sequence[ExperimentResult]) -> dict[str, bool]:
+def shape_check(results: Sequence[RunMetrics]) -> dict[str, bool]:
     """The qualitative claims of §VI, each as a boolean.
 
     * remedies beat originals on average RT and on %VLRT;

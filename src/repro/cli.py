@@ -20,7 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.report import table1, table1_with_paper
+from repro.analysis.report import (
+    chaos_table,
+    geo_table,
+    rematch_table,
+    table1,
+    table1_with_paper,
+)
 from repro.cluster.runner import ExperimentRunner, compare_policies
 from repro.cluster.scenarios import Scenario
 from repro.core.remedies import TABLE1_BUNDLES
@@ -72,7 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     result = ExperimentRunner(config).run()
-    print(result.summary())
+    print(result.metrics.summary())
     return 0
 
 
@@ -102,8 +108,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             profile=(ScaleProfile() if args.full_scale
                      else ScaleProfile.smoke()),
         )
-        report = suite.run(workers=args.workers)
-        print(report.render())
+        print(rematch_table(suite.run(workers=args.workers)))
         return 0
     results = compare_policies(
         [bundle.key for bundle in TABLE1_BUNDLES],
@@ -125,9 +130,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         config = replace(config, duration=args.duration)
     seeds = range(args.base_seed, args.base_seed + args.runs)
     rep = replicate(config, seeds=seeds, workers=args.workers)
-    for summary in rep.summaries:
-        print("seed {:>4d}  {}".format(summary.config.seed,
-                                       summary.summary()))
+    for run in rep.runs:
+        print("seed {:>4d}  {}".format(run.config.seed, run.summary()))
     aggregate = rep.aggregate()
     print("across {} seeds: avg RT {:.2f} +/- {:.2f} ms, "
           "VLRT {:.2f} +/- {:.2f} %".format(
@@ -151,7 +155,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         config = replace(config, sample_dirty_pages=True)
     result = ExperimentRunner(config).run()
     out = export_result(result, args.out)
-    print(result.summary())
+    print(result.metrics.summary())
     print("exported CSV/JSON to {}".format(out))
     return 0
 
@@ -172,12 +176,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         bundle_keys=_split(args.bundles),
         duration=args.duration,
         seed=args.seed,
-        profile=ScaleProfile() if args.full_scale else ScaleProfile.smoke(),
+        profile=ScaleProfile() if args.full_scale else None,
         topology=(_load_topology(args.topology)
                   if args.topology else None),
     )
-    report = suite.run(workers=args.workers)
-    print(report.render())
+    print(chaos_table(suite.run(workers=args.workers)))
     return 0
 
 
@@ -190,8 +193,7 @@ def _cmd_geo(args: argparse.Namespace) -> int:
         seed=args.seed,
         clients=args.clients,
     )
-    report = suite.run()
-    print(report.render())
+    print(geo_table(suite.run()))
     return 0
 
 
@@ -200,7 +202,7 @@ def _cmd_controlplane(args: argparse.Namespace) -> int:
 
     from repro.cluster.config import ScaleProfile
     from repro.cluster.runner import ExperimentConfig
-    from repro.cluster.scenarios import fault_specs, time_to_recover
+    from repro.cluster.scenarios import fault_specs
     from repro.controlplane import get_controlplane
 
     remedy = get_controlplane(args.remedy)
@@ -220,22 +222,21 @@ def _cmd_controlplane(args: argparse.Namespace) -> int:
     remedied = ExperimentRunner(
         replace(config, controlplane=remedy)).run()
 
-    def _line(tag, result):
-        stats = result.stats()
-        ttr = time_to_recover(result)
+    def _line(tag, run):
+        ttr = run.ttr
         print("{:<9s} vlrt {:6.3f}%  drops {:5d}  sheds {:5d}  "
               "goodput {:7.1f}/s  avail {:6.2f}%  ttr {}".format(
-                  tag, 100 * stats.vlrt_fraction,
-                  result.dropped_packets(), result.sheds(),
-                  result.goodput(), 100 * result.availability(),
+                  tag, 100 * run.response_stats.vlrt_fraction,
+                  run.drops, run.sheds,
+                  run.goodput(), 100 * run.availability(),
                   "-" if ttr is None else
                   ("never" if ttr == float("inf")
                    else "{:.2f}s".format(ttr))))
 
     print("fault={} remedy={} bundle={} duration={}s seed={}".format(
         args.fault, args.remedy, args.bundle, args.duration, args.seed))
-    _line("baseline", baseline)
-    _line("remedied", remedied)
+    _line("baseline", baseline.metrics)
+    _line("remedied", remedied.metrics)
 
     system = remedied.system
     for admission in system.admissions:
@@ -333,7 +334,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     config = replace(config, trace_requests=True)
     result = ExperimentRunner(config).run()
-    print(result.summary())
+    print(result.metrics.summary())
     explanation = result.explain_vlrt()
     print()
     print(explanation.render())
@@ -454,11 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool size; 1 runs serially (default)")
     chaos.add_argument("--full-scale", action="store_true",
                        help="use the paper-scale profile instead of the "
-                            "fast smoke profile")
+                            "fast smoke profile (not with --topology)")
     chaos.add_argument("--topology", default=None, metavar="REF",
                        help="builtin name or spec file to run the cells "
-                            "against (required for zone faults; default: "
-                            "the classic 3-tier build)")
+                            "against, with the spec's declared workload "
+                            "(required for zone faults; default: the "
+                            "classic 3-tier build)")
     chaos.set_defaults(func=_cmd_chaos)
 
     geo = sub.add_parser(

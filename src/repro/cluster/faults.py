@@ -40,7 +40,7 @@ the same seed gives the same fault timeline under ``workers=1`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -540,3 +540,27 @@ class FaultInjector:
         """Schedule every spec in ``specs`` against ``system``."""
         for spec in specs:
             self.inject(spec, system)
+
+
+def fault_horizon(specs: Sequence[FaultSpec]) -> Optional[tuple[float, float]]:
+    """``(start, end)`` of the union of fault windows, if bounded.
+
+    ``None`` when the timeline has no bounded window to recover from:
+    no faults at all, a permanent crash (``duration=None``), or a
+    recurring fault (no ``at``).  Correlated crashes extend the end by
+    their jitter bound, since member crash times are drawn in
+    ``[at, at + jitter]``.
+    """
+    starts: list[float] = []
+    ends: list[float] = []
+    for spec in specs:
+        at = getattr(spec, "at", None)
+        duration = getattr(spec, "duration", None)
+        if at is None or duration is None:
+            return None
+        jitter = getattr(spec, "jitter", 0.0) or 0.0
+        starts.append(at)
+        ends.append(at + duration + jitter)
+    if not starts:
+        return None
+    return min(starts), max(ends)

@@ -4,20 +4,24 @@
 generator (the single source of randomness — identical seeds give
 identical event traces), the 50 ms queue-length samplers, and the
 client population.  It returns an :class:`ExperimentResult`, which
-carries both summary statistics and everything the figure-level
-analyses need (queue timelines, CPU trackers, dispatch and lb_value
-traces, ground-truth millibottleneck records).
+carries the live system — everything the figure-level analyses need
+(queue timelines, CPU trackers, dispatch and lb_value traces,
+ground-truth millibottleneck records) — plus, computed on first
+access, its picklable :class:`RunMetrics`.  A :class:`Grid` crosses
+named axes of config overrides and returns one ``RunMetrics`` per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import itertools
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from repro.cluster.config import ScaleProfile
-from repro.cluster.faults import FaultInjector, FaultSpec
+from repro.cluster.faults import FaultInjector, FaultSpec, fault_horizon
 from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import NTierSystem, build_from_spec, build_system
 from repro.controlplane import ControlPlaneConfig
@@ -34,6 +38,7 @@ from repro.netmodel.tcp import RetransmissionPolicy
 from repro.resilience import ResilienceConfig
 from repro.sim.core import Environment
 from repro.sim.monitor import MonitorHub, Sampler
+from repro.tiers.cache import CacheTier
 from repro.tracing.spans import SpanTracer
 from repro.workload.generator import ClientPopulation
 from repro.workload.mix import WorkloadMix, read_write_mix
@@ -126,12 +131,6 @@ class ExperimentResult:
         """Table-I style summary statistics."""
         return self.recorder.stats()
 
-    def table1_row(self) -> dict[str, float]:
-        """One row of Table I for this run."""
-        row = {"policy": self.config.bundle().description}
-        row.update(self.stats().row())
-        return row
-
     # -- fine-grained views -------------------------------------------------
     def cpu_utilization(self, server_name: str,
                         window: Optional[float] = None) -> TimeSeries:
@@ -163,11 +162,6 @@ class ExperimentResult:
             for server in self.system.servers
         }
 
-    def dropped_packets(self) -> int:
-        """Client packets lost to web-tier accept-queue overflow."""
-        return sum(frontend.socket.dropped
-                   for frontend in self.system.frontends)
-
     # -- per-request traces -------------------------------------------------
     def traces(self) -> list:
         """All request traces, in begin order (requires tracing)."""
@@ -188,20 +182,104 @@ class ExperimentResult:
 
         return explain_vlrt(self.traces())
 
-    # -- chaos metrics -----------------------------------------------------
-    def error_responses(self) -> int:
-        """Fast 503s returned because every backend was in Error."""
-        return sum(frontend.error_responses
-                   for frontend in self.system.frontends)
+    @cached_property
+    def metrics(self) -> "RunMetrics":
+        """This run's picklable numbers, computed on first access."""
+        return RunMetrics.of(self)
 
-    def hedges_issued(self) -> int:
-        return sum(hedger.hedges_issued for hedger in self.system.hedgers)
 
-    def sheds(self) -> int:
-        """Requests answered fast by a control-plane gate (admission,
-        bulkhead or leveling overflow) instead of being served."""
-        return sum(frontend.shed_responses
-                   for frontend in self.system.frontends)
+@dataclass(frozen=True)
+class RunMetrics:
+    """Picklable per-run numbers: the one definition of every metric.
+
+    Built from a live :class:`ExperimentResult` (as its ``metrics``)
+    and returned as-is by :func:`repro.parallel.run_experiments` and
+    :meth:`Grid.run`, so a run reports the same numbers whether it ran
+    serially or in a process pool.  The counter fields are summed over
+    the whole system; every derived metric is a method here.
+    """
+
+    config: ExperimentConfig
+    duration: float
+    response_stats: ResponseTimeStats
+    millibottlenecks: int
+    #: Client packets lost to web-tier accept-queue overflow.
+    drops: int
+    #: Fast 503s returned because every backend was in Error.
+    errors_503: int
+    #: Requests answered fast by a control-plane gate (admission,
+    #: bulkhead or leveling overflow) instead of being served.
+    sheds: int
+    abandoned: int
+    #: Client attempts sent, application retries included.
+    attempts: int
+    hedges: int
+    #: Probe messages sent by probing policies (Prequal's pool).
+    probes: int
+    #: Broken affinity promises recorded by sticky-session policies.
+    sticky_violations: int
+    #: Dispatches a zone router had to send out of zone.
+    spillovers: int
+    wan_retransmits: int
+    cache_hits: int
+    cache_misses: int
+    cache_cold_restarts: int
+    #: Seconds after the last fault window until VLRTs subside: ``None``
+    #: without a bounded fault window (or without responses), ``inf``
+    #: when the per-window VLRT count never returns to its pre-fault
+    #: baseline (the worst window before the first fault started).
+    ttr: Optional[float]
+    #: Share of total VLRT critical-path time per bucket (traced runs
+    #: only; empty when no VLRT time was recorded).
+    vlrt_buckets: Optional[dict[str, float]]
+
+    @classmethod
+    def of(cls, result: ExperimentResult) -> "RunMetrics":
+        system, population = result.system, result.population
+        frontends = system.frontends
+        policies = [balancer.policy for balancer in system.balancers]
+        caches = [server for server in system.servers
+                  if isinstance(server, CacheTier)]
+        return cls(
+            config=result.config,
+            duration=result.duration,
+            response_stats=result.stats(),
+            millibottlenecks=len(system.millibottleneck_records()),
+            drops=sum(frontend.socket.dropped for frontend in frontends),
+            errors_503=sum(frontend.error_responses
+                           for frontend in frontends),
+            sheds=sum(frontend.shed_responses for frontend in frontends),
+            abandoned=population.requests_abandoned,
+            attempts=population.attempts_issued,
+            hedges=sum(hedger.hedges_issued for hedger in system.hedgers),
+            probes=sum(getattr(policy, "probes_sent", 0)
+                       for policy in policies),
+            sticky_violations=sum(getattr(policy, "violations", 0)
+                                  for policy in policies),
+            spillovers=sum(router.spillovers
+                           for router in system.zone_routers),
+            wan_retransmits=sum(link.wan_retransmits
+                                for link in system.wan_links),
+            cache_hits=sum(cache.hits for cache in caches),
+            cache_misses=sum(cache.misses for cache in caches),
+            cache_cold_restarts=sum(cache.cold_restarts for cache in caches),
+            ttr=_time_to_recover(result),
+            vlrt_buckets=(None if result.tracer is None
+                          else _bucket_shares(result.explain_vlrt())),
+        )
+
+    def stats(self) -> ResponseTimeStats:
+        """Table-I style summary statistics."""
+        return self.response_stats
+
+    def table1_row(self) -> dict[str, float]:
+        """One row of Table I for this run."""
+        row = {"policy": self.config.bundle().description}
+        row.update(self.response_stats.row())
+        return row
+
+    def vlrt_pct(self) -> float:
+        return 100.0 * self.response_stats.vlrt_fraction
 
     def availability(self) -> float:
         """Successful client-visible outcomes / all client-visible outcomes.
@@ -211,11 +289,11 @@ class ExperimentResult:
         requests — admission control trades availability for tail
         latency, and the report must show both sides of that trade.
         """
-        total = self.stats().count + self.population.requests_abandoned
+        count = self.response_stats.count
+        total = count + self.abandoned
         if total == 0:
             return 1.0
-        return (self.stats().count - self.error_responses()
-                - self.sheds()) / total
+        return (count - self.errors_503 - self.sheds) / total
 
     def retry_amplification(self) -> float:
         """System-side attempts per logical client request.
@@ -223,39 +301,35 @@ class ExperimentResult:
         Counts client attempts (application retries included) plus
         hedge copies; 1.0 means no remedy duplicated any work.
         """
-        logical = (self.population.requests_completed
-                   + self.population.requests_abandoned)
+        logical = self.response_stats.count + self.abandoned
         if logical == 0:
             return 1.0
-        return (self.population.attempts_issued
-                + self.hedges_issued()) / logical
-
-    def probe_messages(self) -> int:
-        """Probe messages sent by probing policies (Prequal's pool).
-
-        The rematch report divides this by the run length to show the
-        measurement overhead a probing policy pays for its ranking.
-        """
-        return sum(getattr(balancer.policy, "probes_sent", 0)
-                   for balancer in self.system.balancers)
-
-    def sticky_violations(self) -> int:
-        """Broken affinity promises recorded by sticky-session policies
-        (a pinned member was ineligible and the session moved)."""
-        return sum(getattr(balancer.policy, "violations", 0)
-                   for balancer in self.system.balancers)
+        return (self.attempts + self.hedges) / logical
 
     def goodput(self) -> float:
         """Useful responses (no 503, not shed, under the VLRT
         threshold) per second."""
-        stats = self.stats()
-        useful = (stats.count - self.error_responses() - self.sheds()
+        stats = self.response_stats
+        useful = (stats.count - self.errors_503 - self.sheds
                   - stats.vlrt_fraction * stats.count)
         return max(0.0, useful) / self.duration
 
+    def shed_pct(self) -> float:
+        """Share of responses answered fast by a control-plane gate."""
+        count = self.response_stats.count
+        return 100.0 * self.sheds / count if count else 0.0
+
+    def probes_per_s(self) -> float:
+        """The probe-message overhead a probing policy pays."""
+        return self.probes / self.duration
+
+    def cache_hit_pct(self) -> float:
+        lookups = self.cache_hits + self.cache_misses
+        return 100.0 * self.cache_hits / lookups if lookups else 0.0
+
     def summary(self) -> str:
         """A one-paragraph human-readable summary."""
-        stats = self.stats()
+        stats = self.response_stats
         label = self.config.bundle_key
         if self.config.topology is not None:
             label = "topology:" + self.config.topology.name
@@ -265,12 +339,41 @@ class ExperimentResult:
                 label,
                 stats.count,
                 stats.mean_ms,
-                100 * stats.vlrt_fraction,
+                self.vlrt_pct(),
                 100 * stats.normal_fraction,
-                self.dropped_packets(),
-                len(self.system.millibottleneck_records()),
+                self.drops,
+                self.millibottlenecks,
             )
         )
+
+
+def _time_to_recover(result: ExperimentResult) -> Optional[float]:
+    window = fault_horizon(result.config.faults)
+    if window is None:
+        return None
+    start, end = window
+    series = result.vlrt_windows()
+    times, values = series.times, series.values
+    if not times:
+        return None
+    baseline = max((v for t, v in zip(times, values) if t < start),
+                   default=0.0)
+    for t, v in zip(times, values):
+        if t >= end and v <= baseline:
+            return max(0.0, t - end)
+    return float("inf")
+
+
+def _bucket_shares(explanation) -> dict[str, float]:
+    totals: dict[str, float] = {}
+    grand = 0.0
+    for path in explanation.paths:
+        for bucket, seconds in path.buckets.items():
+            totals[bucket] = totals.get(bucket, 0.0) + seconds
+            grand += seconds
+    if grand <= 0.0:
+        return {}
+    return {bucket: seconds / grand for bucket, seconds in totals.items()}
 
 
 class ExperimentRunner:
@@ -396,33 +499,101 @@ def _dirty_probe(host):
     return lambda: host.pagecache.dirty_bytes
 
 
+def with_overrides(config: ExperimentConfig,
+                   overrides: Mapping[str, Any]) -> ExperimentConfig:
+    """Return a copy of ``config`` with ``overrides`` applied in order.
+
+    Keys are config fields (``"seed"``), profile fields
+    (``"profile.clients"``) or ``"topology"``, which also sets the
+    profile to the spec's declared workload (``spec.scale_profile()``).
+    """
+    for path, value in overrides.items():
+        parts = path.split(".")
+        if path == "topology" and value is not None:
+            config = replace(config, topology=value,
+                             profile=value.scale_profile())
+        elif len(parts) == 1:
+            if not hasattr(config, path):
+                raise ConfigurationError("unknown config field: " + path)
+            config = replace(config, **{path: value})
+        elif len(parts) == 2 and parts[0] == "profile":
+            if not hasattr(config.profile, parts[1]):
+                raise ConfigurationError("unknown profile field: " + path)
+            config = replace(config, profile=replace(
+                config.profile, **{parts[1]: value}))
+        else:
+            raise ConfigurationError("unsupported override path: " + path)
+    return config
+
+
+class Grid:
+    """Named axes over a base config: one run per point of their product.
+
+    ``axes`` maps each axis name to ``{label: overrides}`` (see
+    :func:`with_overrides`); overrides are validated eagerly.  Cells are
+    independent experiments, each seeded solely by its own config, so
+    :meth:`run` returns identical rows under ``workers=1`` and
+    ``workers=N``.
+    """
+
+    def __init__(self, base: ExperimentConfig,
+                 axes: Mapping[str, Mapping[str, Mapping[str, Any]]]
+                 ) -> None:
+        self.base = base
+        self.axes = {name: dict(points) for name, points in axes.items()}
+        for name, points in self.axes.items():
+            if not points:
+                raise ConfigurationError(
+                    "axis {} has no points".format(name))
+            for overrides in points.values():
+                with_overrides(base, overrides)
+
+    def cells(self) -> list[tuple[dict[str, str], ExperimentConfig]]:
+        """``(labels, config)`` per grid point, in product order."""
+        names = list(self.axes)
+        cells = []
+        for combo in itertools.product(
+                *(self.axes[name].items() for name in names)):
+            config = self.base
+            for _, overrides in combo:
+                config = with_overrides(config, overrides)
+            cells.append(({name: label for name, (label, _)
+                           in zip(names, combo)}, config))
+        return cells
+
+    def run(self, workers: Optional[int] = 1,
+            mix: Optional[WorkloadMix] = None
+            ) -> list[tuple[dict[str, str], RunMetrics]]:
+        """Run every cell; ``(labels, metrics)`` rows in product order.
+
+        ``workers`` follows :func:`repro.parallel.run_experiments`:
+        1 runs serially, N fans out over a process pool, ``None`` uses
+        one worker per CPU.
+        """
+        from repro.parallel import run_experiments
+
+        cells = self.cells()
+        metrics = run_experiments([config for _, config in cells],
+                                  workers=workers, mix=mix)
+        return [(labels, run) for (labels, _), run in zip(cells, metrics)]
+
+
 def compare_policies(bundle_keys, profile: Optional[ScaleProfile] = None,
                      duration: float = 30.0, seed: int = 42,
                      mix: Optional[WorkloadMix] = None,
-                     trace: bool = False, workers: int = 1):
+                     trace: bool = False,
+                     workers: Optional[int] = 1) -> list[RunMetrics]:
     """Run several Table-I bundles under identical conditions.
 
     Each run uses the same seed, profile, duration, and workload mix,
     so differences are attributable to the policy/mechanism alone.
-
-    With ``workers=1`` (the default) the bundles run sequentially in
-    this process and full :class:`ExperimentResult` objects come back.
-    With ``workers > 1`` (or ``None`` for one per CPU) the runs fan out
-    across a process pool via :mod:`repro.parallel` and picklable
-    :class:`~repro.parallel.ExperimentSummary` objects come back — the
-    reporting surface is identical either way, and so are the per-run
-    statistics: results are merged in ``bundle_keys`` order and each
-    run's numbers depend only on its config.
+    One :class:`RunMetrics` per bundle comes back, in ``bundle_keys``
+    order, whether the runs went serially (``workers=1``) or through a
+    process pool.
     """
-    profile = profile or ScaleProfile()
-    configs = [
-        ExperimentConfig(
-            bundle_key=key, profile=profile, duration=duration, seed=seed,
-            trace_lb_values=trace, trace_dispatches=trace)
-        for key in bundle_keys
-    ]
-    if workers == 1:
-        return [ExperimentRunner(config, mix=mix).run()
-                for config in configs]
-    from repro.parallel import run_experiments
-    return run_experiments(configs, workers=workers, mix=mix)
+    base = ExperimentConfig(
+        profile=profile or ScaleProfile(), duration=duration, seed=seed,
+        trace_lb_values=trace, trace_dispatches=trace)
+    grid = Grid(base, {"bundle": {key: {"bundle_key": key}
+                                  for key in bundle_keys}})
+    return [run for _, run in grid.run(workers=workers, mix=mix)]

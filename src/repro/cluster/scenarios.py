@@ -8,14 +8,13 @@ experiment index).  ``Scenario.named(key)`` returns a ready-to-run
 zoo (:data:`FAULT_SCENARIOS`) with the remedy bundles — data-plane
 (:data:`~repro.resilience.RESILIENCE_BUNDLES`) and control-plane
 (:data:`~repro.controlplane.CONTROLPLANE_BUNDLES`) — and the Table-I
-policy/mechanism bundles, fans the cells out through
-:mod:`repro.parallel`, and reports availability, %VLRT, retry
-amplification, goodput, shed rate and time-to-recover per cell.
+policy/mechanism bundles as a :class:`~repro.cluster.runner.Grid`;
+:func:`repro.analysis.report.chaos_table` renders availability, %VLRT,
+retry amplification, goodput, shed rate and time-to-recover per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.config import ScaleProfile
@@ -30,7 +29,7 @@ from repro.cluster.faults import (
     WanDegradationFault,
     ZoneOutageFault,
 )
-from repro.cluster.runner import ExperimentConfig
+from repro.cluster.runner import ExperimentConfig, Grid, with_overrides
 from repro.cluster.spec import TopologySpec
 from repro.controlplane import CONTROLPLANE_BUNDLES, ControlPlaneConfig
 from repro.core.remedies import BUNDLES, MODERN_BUNDLES, TABLE1_BUNDLES
@@ -181,55 +180,6 @@ def fault_specs(key: str, duration: float) -> tuple[FaultSpec, ...]:
     return tuple(factory(duration))
 
 
-def fault_horizon(specs: Sequence[FaultSpec]) -> Optional[tuple[float, float]]:
-    """``(start, end)`` of the union of fault windows, if bounded.
-
-    ``None`` when the timeline has no bounded window to recover from:
-    no faults at all, a permanent crash (``duration=None``), or a
-    recurring fault (no ``at``).  Correlated crashes extend the end by
-    their jitter bound, since member crash times are drawn in
-    ``[at, at + jitter]``.
-    """
-    starts: list[float] = []
-    ends: list[float] = []
-    for spec in specs:
-        at = getattr(spec, "at", None)
-        duration = getattr(spec, "duration", None)
-        if at is None or duration is None:
-            return None
-        jitter = getattr(spec, "jitter", 0.0) or 0.0
-        starts.append(at)
-        ends.append(at + duration + jitter)
-    if not starts:
-        return None
-    return min(starts), max(ends)
-
-
-def time_to_recover(result) -> Optional[float]:
-    """Seconds after the last fault window until VLRTs subside.
-
-    Recovery means the per-window VLRT count has returned to its
-    pre-fault baseline (the worst window observed before the first
-    fault started).  Returns ``None`` when undefined — no bounded
-    fault window, or no response samples — and ``inf`` when the run
-    ends without the VLRT rate ever coming back down.
-    """
-    window = fault_horizon(getattr(result.config, "faults", ()) or ())
-    if window is None:
-        return None
-    start, end = window
-    series = result.vlrt_windows()
-    times, values = series.times, series.values
-    if not times:
-        return None
-    baseline = max((v for t, v in zip(times, values) if t < start),
-                   default=0.0)
-    for t, v in zip(times, values):
-        if t >= end and v <= baseline:
-            return max(0.0, t - end)
-    return float("inf")
-
-
 def all_remedy_keys() -> list[str]:
     """Every valid chaos remedy key: resilience + control-plane bundles."""
     return sorted(set(RESILIENCE_BUNDLES) | set(CONTROLPLANE_BUNDLES))
@@ -256,95 +206,16 @@ def resolve_remedy(key: str) -> tuple[Optional[ResilienceConfig],
             key, ", ".join(all_remedy_keys())))
 
 
-@dataclass(frozen=True)
-class ChaosCell:
-    """One point of the fault x remedy x policy grid."""
-
-    fault_key: str
-    remedy_key: str
-    bundle_key: str
-    config: ExperimentConfig
-
-    @property
-    def label(self) -> str:
-        return "{}|{}|{}".format(self.fault_key, self.remedy_key,
-                                 self.bundle_key)
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """Results of a suite run, one summary-like object per cell."""
-
-    cells: tuple[ChaosCell, ...]
-    results: tuple
-
-    def rows(self) -> list[dict]:
-        """One metrics dict per cell, grid keys included.
-
-        ``shed_pct`` is the share of client-visible responses answered
-        fast by a control-plane gate; ``ttr`` is the time-to-recover
-        after the last fault window (``None`` when undefined, ``inf``
-        when the VLRT rate never returns to its pre-fault baseline).
-        """
-        rows = []
-        for cell, result in zip(self.cells, self.results):
-            stats = result.stats()
-            sheds = result.sheds()
-            rows.append({
-                "fault": cell.fault_key,
-                "remedy": cell.remedy_key,
-                "bundle": cell.bundle_key,
-                "availability": result.availability(),
-                "vlrt_pct": 100.0 * stats.vlrt_fraction,
-                "amplification": result.retry_amplification(),
-                "goodput": result.goodput(),
-                "requests": stats.count,
-                "drops": result.dropped_packets(),
-                "errors_503": result.error_responses(),
-                "sheds": sheds,
-                "shed_pct": (100.0 * sheds / stats.count
-                             if stats.count else 0.0),
-                "ttr": time_to_recover(result),
-            })
-        return rows
-
-    @staticmethod
-    def _render_ttr(ttr: Optional[float]) -> str:
-        if ttr is None:
-            return "-"
-        if ttr == float("inf"):
-            return "never"
-        return "{:.2f}".format(ttr)
-
-    def render(self) -> str:
-        """The grid as a fixed-width text table."""
-        header = ("{:<15s} {:<18s} {:<24s} {:>6s} {:>7s} {:>5s} "
-                  "{:>8s} {:>7s} {:>6s} {:>5s} {:>6s} {:>6s}").format(
-                      "fault", "remedy", "bundle", "avail%", "vlrt%",
-                      "amp", "goodput", "reqs", "drops", "503s",
-                      "shed%", "ttr")
-        lines = [header, "-" * len(header)]
-        for row in self.rows():
-            lines.append(
-                "{:<15s} {:<18s} {:<24s} {:>6.2f} {:>7.3f} {:>5.2f} "
-                "{:>8.1f} {:>7d} {:>6d} {:>5d} {:>6.2f} {:>6s}".format(
-                    row["fault"], row["remedy"], row["bundle"],
-                    100.0 * row["availability"], row["vlrt_pct"],
-                    row["amplification"], row["goodput"],
-                    row["requests"], row["drops"], row["errors_503"],
-                    row["shed_pct"], self._render_ttr(row["ttr"])))
-        return "\n".join(lines)
-
-
-class ChaosSuite:
+class ChaosSuite(Grid):
     """Cross fault scenarios x remedy bundles x balancing policies.
 
     Every cell runs the same profile, duration and seed, so differences
     within the grid are attributable to the cell's coordinates alone.
-    Cells are independent experiments and fan out through
-    :func:`repro.parallel.run_experiments`; fault schedules are keyed
-    off the run seed (see ``FAULT_RNG_STREAM``), so a cell's numbers
-    are identical under ``workers=1`` and ``workers=N``.
+    Fault schedules are keyed off the run seed (see
+    ``FAULT_RNG_STREAM``), so a cell's numbers are identical under
+    ``workers=1`` and ``workers=N``.  With a ``topology`` every cell
+    builds that spec and runs its declared workload
+    (``spec.scale_profile()``), so a ``profile`` may not be given too.
     """
 
     def __init__(self,
@@ -372,58 +243,31 @@ class ChaosSuite:
                 raise ConfigurationError(
                     "fault scenario {!r} targets zones; pass a zoned "
                     "topology to the suite".format(key))
-        for key in self.remedy_keys:
-            resolve_remedy(key)
         for key in self.bundle_keys:
             if key not in BUNDLES:
                 raise ConfigurationError(
                     "unknown policy bundle {!r}".format(key))
         if duration <= 0:
             raise ConfigurationError("duration must be positive")
+        if topology is not None and profile is not None:
+            raise ConfigurationError(
+                "a topology runs its declared workload; give either a "
+                "profile or a topology, not both")
         self.duration = duration
-        self.seed = seed
-        self.profile = profile or ScaleProfile.smoke()
-        self.topology = topology
-
-    def cells(self) -> tuple[ChaosCell, ...]:
-        """The grid, fault-major, in deterministic order."""
-        cells = []
-        for fault_key in self.fault_keys:
-            specs = fault_specs(fault_key, self.duration)
-            for remedy_key in self.remedy_keys:
-                resilience, controlplane = resolve_remedy(remedy_key)
-                for bundle_key in self.bundle_keys:
-                    cells.append(ChaosCell(
-                        fault_key=fault_key,
-                        remedy_key=remedy_key,
-                        bundle_key=bundle_key,
-                        config=ExperimentConfig(
-                            bundle_key=bundle_key,
-                            profile=self.profile,
-                            duration=self.duration,
-                            seed=self.seed,
-                            trace_lb_values=False,
-                            trace_dispatches=False,
-                            faults=specs,
-                            resilience=resilience,
-                            controlplane=controlplane,
-                            topology=self.topology,
-                        )))
-        return tuple(cells)
-
-    def run(self, workers: Optional[int] = 1, mix=None) -> ChaosReport:
-        """Run every cell and collect the report.
-
-        ``workers`` follows :func:`repro.parallel.run_experiments`:
-        1 runs serially, N fans out over a process pool, ``None`` uses
-        one worker per CPU.  Results are identical either way.
-        """
-        from repro.parallel import run_experiments
-
-        cells = self.cells()
-        results = run_experiments([cell.config for cell in cells],
-                                  workers=workers, mix=mix)
-        return ChaosReport(cells=cells, results=tuple(results))
+        base = with_overrides(
+            ExperimentConfig(profile=profile or ScaleProfile.smoke(),
+                             duration=duration, seed=seed,
+                             trace_lb_values=False, trace_dispatches=False),
+            {"topology": topology})
+        self.profile = base.profile
+        super().__init__(base, {
+            "fault": {key: {"faults": fault_specs(key, duration)}
+                      for key in self.fault_keys},
+            "remedy": {key: dict(zip(("resilience", "controlplane"),
+                                     resolve_remedy(key)))
+                       for key in self.remedy_keys},
+            "bundle": {key: {"bundle_key": key} for key in self.bundle_keys},
+        })
 
 
 # -- the Table-I rematch ----------------------------------------------------
@@ -434,61 +278,7 @@ class ChaosSuite:
 REMATCH_FAULTS: tuple[str, ...] = ("none", "slow", "packet_loss")
 
 
-@dataclass(frozen=True)
-class RematchCell:
-    """One point of the bundle x fault rematch grid."""
-
-    bundle_key: str
-    fault_key: str
-    config: ExperimentConfig
-
-    @property
-    def label(self) -> str:
-        return "{}|{}".format(self.bundle_key, self.fault_key)
-
-
-@dataclass(frozen=True)
-class RematchReport:
-    """Results of a rematch run, one summary-like object per cell."""
-
-    cells: tuple[RematchCell, ...]
-    results: tuple
-
-    def rows(self) -> list[dict]:
-        """One metrics dict per cell, grid keys included.
-
-        ``probes_per_s`` is the probe-message overhead a probing policy
-        pays (zero for every non-probing policy); ``sticky_violations``
-        counts broken affinity promises (zero unless the bundle pins
-        sessions).  Together with ``goodput`` they show both sides of
-        each modern policy's trade.
-        """
-        rows = []
-        for cell, result in zip(self.cells, self.results):
-            stats = result.stats()
-            rows.append({
-                "bundle": cell.bundle_key,
-                "fault": cell.fault_key,
-                "vlrt_pct": 100.0 * stats.vlrt_fraction,
-                "availability": result.availability(),
-                "goodput": result.goodput(),
-                "probes_per_s": result.probe_messages() / result.duration,
-                "sticky_violations": result.sticky_violations(),
-                "requests": stats.count,
-                "drops": result.dropped_packets(),
-                "errors_503": result.error_responses(),
-                "ttr": time_to_recover(result),
-            })
-        return rows
-
-    def render(self) -> str:
-        """The grid as a fixed-width text table."""
-        from repro.analysis.report import rematch_table
-
-        return rematch_table(self.rows())
-
-
-class PolicyRematch:
+class PolicyRematch(Grid):
     """Rerun Table I with the modern-policy zoo across a fault axis.
 
     The grid crosses policy bundles (by default every Table-I row plus
@@ -508,48 +298,23 @@ class PolicyRematch:
         if bundle_keys is None:
             bundle_keys = [bundle.key for bundle
                            in TABLE1_BUNDLES + MODERN_BUNDLES]
-        self.bundle_keys = list(dict.fromkeys(bundle_keys))
-        self.fault_keys = list(fault_keys if fault_keys is not None
-                               else REMATCH_FAULTS)
-        for key in self.bundle_keys:
+        if fault_keys is None:
+            fault_keys = REMATCH_FAULTS
+        for key in bundle_keys:
             if key not in BUNDLES:
                 raise ConfigurationError(
                     "unknown policy bundle {!r} (one of {})".format(
                         key, ", ".join(sorted(BUNDLES))))
-        for key in self.fault_keys:
+        for key in fault_keys:
             if key not in FAULT_SCENARIOS:
                 raise ConfigurationError(
                     "unknown fault scenario {!r}".format(key))
         if duration <= 0:
             raise ConfigurationError("duration must be positive")
-        self.duration = duration
-        self.seed = seed
-        self.profile = profile or ScaleProfile.smoke()
-
-    def cells(self) -> tuple[RematchCell, ...]:
-        """The grid, bundle-major, in deterministic order."""
-        cells = []
-        for bundle_key in self.bundle_keys:
-            for fault_key in self.fault_keys:
-                cells.append(RematchCell(
-                    bundle_key=bundle_key,
-                    fault_key=fault_key,
-                    config=ExperimentConfig(
-                        bundle_key=bundle_key,
-                        profile=self.profile,
-                        duration=self.duration,
-                        seed=self.seed,
-                        trace_lb_values=False,
-                        trace_dispatches=False,
-                        faults=fault_specs(fault_key, self.duration),
-                    )))
-        return tuple(cells)
-
-    def run(self, workers: Optional[int] = 1, mix=None) -> RematchReport:
-        """Run every cell and collect the report (see ChaosSuite.run)."""
-        from repro.parallel import run_experiments
-
-        cells = self.cells()
-        results = run_experiments([cell.config for cell in cells],
-                                  workers=workers, mix=mix)
-        return RematchReport(cells=cells, results=tuple(results))
+        super().__init__(
+            ExperimentConfig(profile=profile or ScaleProfile.smoke(),
+                             duration=duration, seed=seed,
+                             trace_lb_values=False, trace_dispatches=False),
+            {"bundle": {key: {"bundle_key": key} for key in bundle_keys},
+             "fault": {key: {"faults": fault_specs(key, duration)}
+                       for key in fault_keys}})

@@ -7,15 +7,12 @@ RNG, and its metrics — so they parallelise embarrassingly well across a
 
 Full :class:`~repro.cluster.runner.ExperimentResult` objects cannot
 cross a process boundary (they hold live simulation objects: generator
-coroutines, event heaps, open samplers).  Workers therefore reduce each
-result to a picklable :class:`ExperimentSummary` before returning it.
-The summary duck-types the reporting surface of ``ExperimentResult``
-(``config``, ``stats()``, ``table1_row()``, ``dropped_packets()``,
-``summary()``), so everything in :mod:`repro.analysis.report` accepts
-either.
+coroutines, event heaps, open samplers).  Every run is therefore
+reduced to its picklable :class:`~repro.cluster.runner.RunMetrics`,
+on the serial path as well as in the pool.
 
 Determinism contract: each run is seeded solely by its config's
-``seed``, so the same config produces bit-identical statistics whether
+``seed``, so the same config produces bit-identical metrics whether
 it runs serially, in a pool, or interleaved with other runs — results
 are merged back in submission order, keyed by index, never by
 completion order.
@@ -24,7 +21,7 @@ Usage::
 
     from repro.parallel import replicate, run_experiments
 
-    summaries = run_experiments(configs, workers=4)
+    metrics = run_experiments(configs, workers=4)
     rep = replicate(config, seeds=range(8), workers=4)
     print(rep.aggregate()["avg_rt_ms_mean"])
 """
@@ -32,207 +29,53 @@ Usage::
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from repro.cluster.runner import (
     ExperimentConfig,
-    ExperimentResult,
     ExperimentRunner,
+    Grid,
+    RunMetrics,
 )
 from repro.errors import ConfigurationError
-from repro.metrics.stats import ResponseTimeStats
-from repro.metrics.timeseries import TimeSeries
 from repro.workload.mix import WorkloadMix
 
 __all__ = [
-    "ExperimentSummary",
     "Replication",
     "replicate",
     "run_experiments",
-    "summarize",
 ]
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
-    """Picklable reduction of an :class:`ExperimentResult`.
-
-    Carries the per-run numbers every report needs while remaining a
-    plain value object: config, response-time statistics, drop and
-    millibottleneck counts, and the sampled queue/dirty-page timelines.
-    """
-
-    config: ExperimentConfig
-    duration: float
-    response_stats: ResponseTimeStats
-    dropped: int
-    millibottlenecks: int
-    queue_series: dict[str, TimeSeries]
-    dirty_series: dict[str, TimeSeries]
-    #: Chaos-suite counters (all zero for a fault-free, remedy-free run;
-    #: defaults keep summaries pickled by older code readable).
-    error_responses_count: int = 0
-    abandoned: int = 0
-    attempts: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    fault_count: int = 0
-    #: Requests answered fast by a control-plane gate (admission,
-    #: bulkhead or leveling overflow) instead of being served.
-    sheds_count: int = 0
-    #: VLRT count per sample window (time-to-recover input); ``None``
-    #: on summaries pickled by older code.
-    vlrt_series: Optional[TimeSeries] = None
-    #: Modern-policy counters (zero unless the run's balancers probe
-    #: or pin sessions).
-    probe_messages_count: int = 0
-    sticky_violations_count: int = 0
-
-    # -- ExperimentResult reporting surface (duck-typed) -----------------
-    def stats(self) -> ResponseTimeStats:
-        """Table-I style summary statistics."""
-        return self.response_stats
-
-    def table1_row(self) -> dict[str, float]:
-        """One row of Table I for this run."""
-        row = {"policy": self.config.bundle().description}
-        row.update(self.response_stats.row())
-        return row
-
-    def dropped_packets(self) -> int:
-        """Client packets lost to web-tier accept-queue overflow."""
-        return self.dropped
-
-    # -- chaos metrics (mirror ExperimentResult's formulas) --------------
-    def error_responses(self) -> int:
-        """Fast 503s returned because every backend was in Error."""
-        return self.error_responses_count
-
-    def hedges_issued(self) -> int:
-        return self.hedges
-
-    def sheds(self) -> int:
-        """Requests answered fast by a control-plane gate."""
-        return self.sheds_count
-
-    def vlrt_windows(self) -> TimeSeries:
-        """VLRT count per sample window (empty for legacy summaries)."""
-        if self.vlrt_series is None:
-            return TimeSeries.from_arrays([], [], name="vlrt")
-        return self.vlrt_series
-
-    def probe_messages(self) -> int:
-        """Probe messages sent by probing policies (Prequal's pool)."""
-        return self.probe_messages_count
-
-    def sticky_violations(self) -> int:
-        """Broken affinity promises recorded by sticky-session policies."""
-        return self.sticky_violations_count
-
-    def availability(self) -> float:
-        """Successful client-visible outcomes / all client-visible outcomes."""
-        total = self.response_stats.count + self.abandoned
-        if total == 0:
-            return 1.0
-        return (self.response_stats.count - self.error_responses_count
-                - self.sheds_count) / total
-
-    def retry_amplification(self) -> float:
-        """System-side attempts per logical client request."""
-        logical = self.response_stats.count + self.abandoned
-        if logical == 0:
-            return 1.0
-        return (self.attempts + self.hedges) / logical
-
-    def goodput(self) -> float:
-        """Useful responses (no 503, not shed, under the VLRT
-        threshold) per second."""
-        stats = self.response_stats
-        useful = (stats.count - self.error_responses_count
-                  - self.sheds_count
-                  - stats.vlrt_fraction * stats.count)
-        return max(0.0, useful) / self.duration
-
-    def summary(self) -> str:
-        """A one-paragraph human-readable summary."""
-        stats = self.response_stats
-        return (
-            "{}: {} requests, avg RT {:.2f} ms, VLRT {:.2f}%, "
-            "normal {:.2f}%, drops {}, millibottlenecks {}".format(
-                self.config.bundle_key,
-                stats.count,
-                stats.mean_ms,
-                100 * stats.vlrt_fraction,
-                100 * stats.normal_fraction,
-                self.dropped,
-                self.millibottlenecks,
-            )
-        )
-
-
-def summarize(result: ExperimentResult) -> ExperimentSummary:
-    """Reduce a full result to its picklable summary."""
-    injector = result.fault_injector
-    fault_count = 0
-    if injector is not None:
-        fault_count = (len(injector.records) + len(injector.slow_records)
-                       + len(injector.net_records))
-    return ExperimentSummary(
-        config=result.config,
-        duration=result.duration,
-        response_stats=result.stats(),
-        dropped=result.dropped_packets(),
-        millibottlenecks=len(result.system.millibottleneck_records()),
-        queue_series=result.queue_series,
-        dirty_series=result.dirty_series,
-        error_responses_count=result.error_responses(),
-        abandoned=result.population.requests_abandoned,
-        attempts=result.population.attempts_issued,
-        hedges=result.hedges_issued(),
-        hedge_wins=sum(h.hedge_wins for h in result.system.hedgers),
-        fault_count=fault_count,
-        sheds_count=result.sheds(),
-        vlrt_series=result.vlrt_windows(),
-        probe_messages_count=result.probe_messages(),
-        sticky_violations_count=result.sticky_violations(),
-    )
-
-
-def _run_one(task: tuple[int, ExperimentConfig, Optional[WorkloadMix],
-                         Callable[[ExperimentResult], Any]]
-             ) -> tuple[int, Any]:
-    """Pool worker: run one config and post-process in the child.
+def _run_one(task: tuple[int, ExperimentConfig, Optional[WorkloadMix]]
+             ) -> tuple[int, RunMetrics]:
+    """Pool worker: run one config and reduce it in the child.
 
     Module-level so it pickles under every multiprocessing start method
-    (spawn included).  Returns ``(index, value)`` so the parent can
+    (spawn included).  Returns ``(index, metrics)`` so the parent can
     merge results in submission order regardless of completion order.
     """
-    index, config, mix, postprocess = task
-    result = ExperimentRunner(config, mix=mix).run()
-    return index, postprocess(result)
+    index, config, mix = task
+    return index, ExperimentRunner(config, mix=mix).run().metrics
 
 
 def run_experiments(configs: Iterable[ExperimentConfig],
                     workers: Optional[int] = 1,
                     mix: Optional[WorkloadMix] = None,
-                    postprocess: Optional[
-                        Callable[[ExperimentResult], Any]] = None,
-                    ) -> list[Any]:
+                    ) -> list[RunMetrics]:
     """Run independent configs, optionally across a process pool.
 
     ``workers=1`` runs serially in this process (no pool, no pickling);
     ``workers=None`` uses one worker per CPU; ``workers=N`` caps the
-    pool at N.  ``postprocess`` maps each full result to the value
-    returned (default :func:`summarize`); with a pool it runs inside
-    the worker, so it must be a picklable (module-level) callable.
+    pool at N.
 
-    Results come back in the order of ``configs`` — merging is keyed by
-    submission index, never completion order — and a given config's
-    values are identical whether it ran serially or in a pool.
+    One :class:`~repro.cluster.runner.RunMetrics` per config comes back
+    in the order of ``configs`` — merging is keyed by submission index,
+    never completion order — identical whether it ran serially or in a
+    pool.
     """
     configs = list(configs)
-    post = summarize if postprocess is None else postprocess
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
@@ -240,11 +83,10 @@ def run_experiments(configs: Iterable[ExperimentConfig],
             "workers must be a positive int or None, got {!r}".format(
                 workers))
     if workers == 1 or len(configs) <= 1:
-        return [post(ExperimentRunner(config, mix=mix).run())
-                for config in configs]
+        return _run_serially(configs, mix)
 
-    tasks = [(i, config, mix, post) for i, config in enumerate(configs)]
-    merged: list[Any] = [None] * len(tasks)
+    tasks = [(i, config, mix) for i, config in enumerate(configs)]
+    merged: list[Optional[RunMetrics]] = [None] * len(tasks)
     try:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
@@ -254,46 +96,45 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     except (ImportError, OSError, PermissionError):
         # No usable multiprocessing primitives (restricted sandboxes,
         # missing /dev/shm): fall back to the serial path.
-        return [post(ExperimentRunner(config, mix=mix).run())
-                for config in configs]
+        return _run_serially(configs, mix)
     return merged
+
+
+def _run_serially(configs: list[ExperimentConfig],
+                  mix: Optional[WorkloadMix]) -> list[RunMetrics]:
+    return [ExperimentRunner(config, mix=mix).run().metrics
+            for config in configs]
 
 
 @dataclass(frozen=True)
 class Replication:
-    """Multi-seed replications of one configuration, keyed by seed."""
+    """Multi-seed replications of one configuration, in seed order."""
 
-    summaries: tuple[ExperimentSummary, ...]
-
-    def __post_init__(self) -> None:
-        seeds = [summary.config.seed for summary in self.summaries]
-        if len(set(seeds)) != len(seeds):
-            raise ConfigurationError("duplicate seeds in replication")
+    runs: tuple[RunMetrics, ...]
 
     @property
     def seeds(self) -> tuple[int, ...]:
-        return tuple(summary.config.seed for summary in self.summaries)
+        return tuple(run.config.seed for run in self.runs)
 
-    def by_seed(self) -> dict[int, ExperimentSummary]:
-        return {summary.config.seed: summary for summary in self.summaries}
+    def by_seed(self) -> dict[int, RunMetrics]:
+        return {run.config.seed: run for run in self.runs}
 
     def aggregate(self) -> dict[str, float]:
         """Across-seed mean and population std of the headline numbers."""
         import numpy as np
 
-        if not self.summaries:
+        if not self.runs:
             raise ConfigurationError("no replications to aggregate")
         rows = {
-            "avg_rt_ms": np.array([s.response_stats.mean_ms
-                                   for s in self.summaries]),
-            "vlrt_pct": np.array([100 * s.response_stats.vlrt_fraction
-                                  for s in self.summaries]),
-            "normal_pct": np.array([100 * s.response_stats.normal_fraction
-                                    for s in self.summaries]),
-            "drops": np.array([float(s.dropped) for s in self.summaries]),
+            "avg_rt_ms": [run.response_stats.mean_ms for run in self.runs],
+            "vlrt_pct": [run.vlrt_pct() for run in self.runs],
+            "normal_pct": [100 * run.response_stats.normal_fraction
+                           for run in self.runs],
+            "drops": [float(run.drops) for run in self.runs],
         }
-        out: dict[str, float] = {"runs": float(len(self.summaries))}
+        out: dict[str, float] = {"runs": float(len(self.runs))}
         for name, values in rows.items():
+            values = np.array(values)
             out[name + "_mean"] = float(values.mean())
             out[name + "_std"] = float(values.std())
         return out
@@ -311,6 +152,7 @@ def replicate(config: ExperimentConfig, seeds: Iterable[int],
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError("seeds must be unique")
-    configs = [replace(config, seed=seed) for seed in seeds]
-    summaries = run_experiments(configs, workers=workers, mix=mix)
-    return Replication(summaries=tuple(summaries))
+    grid = Grid(config, {"seed": {str(seed): {"seed": seed}
+                                  for seed in seeds}})
+    return Replication(runs=tuple(
+        run for _, run in grid.run(workers=workers, mix=mix)))

@@ -17,13 +17,19 @@ from repro.cluster import (
     all_remedy_keys,
     fault_horizon,
     fault_specs,
+    get_topology,
     resolve_remedy,
 )
+from repro.analysis.report import chaos_table
 from repro.controlplane import CONTROLPLANE_BUNDLES
 from repro.core import MemberState
 from repro.errors import ConfigurationError
 from repro.parallel import run_experiments
 from repro.resilience import RESILIENCE_BUNDLES
+
+
+def _label(labels):
+    return "|".join(labels.values())
 
 
 class TestFaultScenarios:
@@ -106,7 +112,7 @@ class TestSuiteConstruction:
         suite = ChaosSuite(fault_keys=["none", "crash"],
                            remedy_keys=["none", "breaker"],
                            bundle_keys=["current_load_modified"])
-        labels = [cell.label for cell in suite.cells()]
+        labels = [_label(labels) for labels, _ in suite.cells()]
         assert labels == [
             "none|none|current_load_modified",
             "none|breaker|current_load_modified",
@@ -120,7 +126,8 @@ class TestSuiteConstruction:
                            remedy_keys=["none", "breaker"],
                            bundle_keys=["current_load_modified"],
                            duration=7.0, seed=9, profile=profile)
-        by_label = {cell.label: cell.config for cell in suite.cells()}
+        by_label = {_label(labels): config
+                    for labels, config in suite.cells()}
         unremedied = by_label["none|none|current_load_modified"]
         # A remedy-free cell is the seed system: no resilience config at
         # all, so the wiring stays event-for-event identical.
@@ -144,7 +151,8 @@ class TestSuiteConstruction:
         suite = ChaosSuite(fault_keys=["crash"],
                            remedy_keys=["none", "admission+leveling"],
                            bundle_keys=["current_load_modified"])
-        by_label = {cell.label: cell.config for cell in suite.cells()}
+        by_label = {_label(labels): config
+                    for labels, config in suite.cells()}
         remedied = by_label["crash|admission+leveling|current_load_modified"]
         assert remedied.controlplane == CONTROLPLANE_BUNDLES[
             "admission+leveling"]
@@ -152,6 +160,27 @@ class TestSuiteConstruction:
         bare = by_label["crash|none|current_load_modified"]
         assert bare.controlplane is None
         assert bare.resilience is None
+
+
+class TestTopologyCells:
+    def test_cells_run_the_specs_declared_workload(self):
+        """``--topology`` cells build the spec and run its declared
+        workload, not the smoke profile's client count."""
+        spec = get_topology("geo")
+        suite = ChaosSuite(fault_keys=["none"], remedy_keys=["none"],
+                           bundle_keys=["current_load_modified"],
+                           duration=0.5, topology=spec)
+        ((_, config),) = suite.cells()
+        assert config.topology == spec
+        assert config.profile == spec.scale_profile()
+        result = ExperimentRunner(config).run()
+        assert len(result.population) == spec.workload.clients
+        assert spec.workload.clients != ScaleProfile.smoke().clients
+
+    def test_topology_and_profile_are_exclusive(self):
+        with pytest.raises(ConfigurationError):
+            ChaosSuite(topology=get_topology("geo"),
+                       profile=ScaleProfile())
 
 
 class TestChaosReport:
@@ -164,34 +193,33 @@ class TestChaosReport:
         return suite.run()
 
     def test_rows_carry_grid_keys_and_metrics(self, report):
-        rows = report.rows()
-        assert [row["bundle"] for row in rows] == [
+        assert [labels["bundle"] for labels, _ in report] == [
             "original_total_request", "current_load_modified"]
-        for row in rows:
-            assert row["fault"] == "crash"
-            assert row["remedy"] == "none"
-            assert 0.0 <= row["availability"] <= 1.0
-            assert row["requests"] > 0
+        for labels, run in report:
+            assert labels["fault"] == "crash"
+            assert labels["remedy"] == "none"
+            assert 0.0 <= run.availability() <= 1.0
+            assert run.stats().count > 0
             # No retry/hedge remedy: essentially one attempt per logical
             # request (in-flight work at run end leaves a tiny residue).
-            assert 1.0 <= row["amplification"] < 1.01
+            assert 1.0 <= run.retry_amplification() < 1.01
 
     def test_rows_carry_shed_and_recovery_columns(self, report):
-        for row in report.rows():
+        for _, run in report:
             # No admission/leveling remedy in this grid: nothing sheds.
-            assert row["sheds"] == 0
-            assert row["shed_pct"] == 0.0
+            assert run.sheds == 0
+            assert run.shed_pct() == 0.0
             # A permanent crash has no fault end, so time-to-recover is
             # undefined rather than infinite.
-            assert row["ttr"] is None
+            assert run.ttr is None
 
     def test_render_table_shape(self, report):
-        lines = report.render().splitlines()
+        lines = chaos_table(report).splitlines()
         header = lines[0].split()
         assert header[:3] == ["fault", "remedy", "bundle"]
         assert "shed%" in header and "ttr" in header
         assert set(lines[1]) == {"-"}
-        assert len(lines) == 2 + len(report.cells)
+        assert len(lines) == 2 + len(report)
 
 
 class TestRecoveryMetric:
@@ -211,8 +239,8 @@ class TestRecoveryMetric:
                            remedy_keys=["none"],
                            bundle_keys=["current_load_modified"],
                            duration=6.0)
-        (row,) = suite.run().rows()
-        ttr = row["ttr"]
+        ((_, run),) = suite.run()
+        ttr = run.ttr
         assert ttr is not None
         assert ttr >= 0.0  # inf compares fine here
 
@@ -229,8 +257,8 @@ class TestDeterminism:
                            bundle_keys=["original_total_request",
                                         "current_load_modified"],
                            duration=6.0)
-        serial = suite.run(workers=1).rows()
-        parallel = suite.run(workers=2).rows()
+        serial = suite.run(workers=1)
+        parallel = suite.run(workers=2)
         assert serial == parallel
 
 
@@ -249,9 +277,9 @@ class TestAcceptance:
                            duration=10.0, profile=profile)
         wanted = {"packet_loss|none|original_total_request",
                   "packet_loss|breaker|current_load_modified"}
-        cells = [cell for cell in suite.cells() if cell.label in wanted]
-        baseline, remedied = run_experiments(
-            [cell.config for cell in cells], workers=2)
+        configs = [config for labels, config in suite.cells()
+                   if _label(labels) in wanted]
+        baseline, remedied = run_experiments(configs, workers=2)
         assert 100.0 * baseline.stats().vlrt_fraction > 5.0
         assert 100.0 * remedied.stats().vlrt_fraction < 1.0
 
@@ -261,9 +289,9 @@ class TestAcceptance:
         millibottleneck never reach Error."""
         suite = ChaosSuite(fault_keys=["crash"], remedy_keys=["none"],
                            bundle_keys=["current_load_modified"])
-        (cell,) = suite.cells()
-        (spec,) = cell.config.faults
-        config = replace(cell.config, trace_dispatches=True)
+        ((_, config),) = suite.cells()
+        (spec,) = config.faults
+        config = replace(config, trace_dispatches=True)
         result = ExperimentRunner(config).run()
         # The run actually exhibited millibottlenecks.
         assert len(result.system.millibottleneck_records()) > 0

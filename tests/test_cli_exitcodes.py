@@ -86,6 +86,15 @@ class TestChaosCommand:
         assert code == 0
         assert "admission+leveling" in out
 
+    def test_chaos_topology_with_full_scale_exits_2(self, capsys):
+        """A topology runs its own declared workload; asking for the
+        paper-scale profile on top of it is a contradiction."""
+        code = main(["chaos", "--faults", "none", "--remedies", "none",
+                     "--topology", "geo", "--full-scale",
+                     "--duration", "2"])
+        assert code == 2
+        assert "topology" in capsys.readouterr().err
+
 
 class TestControlplaneCommand:
     def test_controlplane_succeeds_and_reports_mechanisms(self, capsys):

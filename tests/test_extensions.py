@@ -1,5 +1,5 @@
 """Tests for the extension modules: bursty workload, throughput
-metrics, lag correlation, CSV export, and sweeps."""
+metrics, lag correlation, CSV export, and sweeps (grid axes)."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from repro.analysis import (
     series_to_csv,
     shift,
 )
-from repro.cluster import Sweep
+from repro.cluster import Grid
 from repro.cluster.scenarios import policy_run
 from repro.errors import AnalysisError, ConfigurationError
 from repro.metrics import (
@@ -229,45 +229,48 @@ class TestCsvExport:
 
 
 class TestSweep:
+    """Parameter sweeps are :class:`Grid` axes over config overrides."""
+
     def base(self):
         return policy_run("current_load", duration=1.5, seed=1,
                           trace=False)
 
     def test_grid_size_and_overrides(self):
-        sweep = Sweep(self.base())
-        sweep.over("seed", [1, 2]).over("profile.clients", [100, 200, 300])
-        assert len(sweep) == 6
-        combos = [overrides for overrides, _ in sweep.configs()]
-        assert {"seed": 2, "profile.clients": 300} in combos
-        configs = [config for _, config in sweep.configs()]
-        assert {config.profile.clients for config in configs} == {
+        grid = Grid(self.base(), {
+            "seed": {str(seed): {"seed": seed} for seed in (1, 2)},
+            "clients": {str(n): {"profile.clients": n}
+                        for n in (100, 200, 300)}})
+        cells = grid.cells()
+        assert len(cells) == 6
+        assert {"seed": "2", "clients": "300"} in [labels for labels, _
+                                                   in cells]
+        assert {config.profile.clients for _, config in cells} == {
             100, 200, 300}
 
     def test_empty_sweep_runs_base_once(self):
-        rows = Sweep(self.base()).run()
+        rows = Grid(self.base(), {}).run()
         assert len(rows) == 1
-        assert rows[0]["requests"] > 0
+        labels, run = rows[0]
+        assert labels == {}
+        assert run.stats().count > 0
 
     def test_run_collects_rows(self):
-        sweep = Sweep(self.base()).over("seed", [1, 2])
-        rows = sweep.run()
+        rows = Grid(self.base(), {
+            "seed": {"1": {"seed": 1}, "2": {"seed": 2}}}).run()
         assert len(rows) == 2
-        assert rows[0]["seed"] == 1
-        assert all("avg_rt_ms" in row for row in rows)
-
-    def test_custom_summarizer(self):
-        sweep = Sweep(self.base()).over("seed", [3])
-        rows = sweep.run(summarize=lambda result: {
-            "drops": result.dropped_packets()})
-        assert rows == [{"seed": 3, "drops": 0}]
+        assert rows[0][0] == {"seed": "1"}
+        assert [run.config.seed for _, run in rows] == [1, 2]
+        assert all(run.response_stats.mean_ms > 0 for _, run in rows)
 
     def test_validation(self):
-        sweep = Sweep(self.base())
+        def grid(overrides):
+            return Grid(self.base(), {"axis": {"x": overrides}})
+
         with pytest.raises(ConfigurationError):
-            sweep.over("seed", [])
+            Grid(self.base(), {"seed": {}})
         with pytest.raises(ConfigurationError):
-            sweep.over("nonsense", [1])
+            grid({"nonsense": 1})
         with pytest.raises(ConfigurationError):
-            sweep.over("profile.nonsense", [1])
+            grid({"profile.nonsense": 1})
         with pytest.raises(ConfigurationError):
-            sweep.over("profile.clients.deep", [1])
+            grid({"profile.clients.deep": 1})

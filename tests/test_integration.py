@@ -90,7 +90,7 @@ class TestFig1Baseline:
         assert evenness(counts) < 1.05
 
     def test_no_packet_drops(self, baseline):
-        assert baseline.dropped_packets() == 0
+        assert baseline.metrics.drops == 0
 
 
 class TestFig3to5OriginalPolicies:
@@ -120,7 +120,7 @@ class TestFig3to5OriginalPolicies:
             assert cpu < 0.55, name
 
     def test_drops_at_web_tier(self, original):
-        assert original.dropped_packets() > 0
+        assert original.metrics.drops > 0
 
 
 class TestFig6and10Instability:
@@ -176,7 +176,7 @@ class TestFig8and9MechanismRemedy:
     """§IV-C: modified get_endpoint avoids the stalled candidate."""
 
     def test_no_drops_and_no_vlrt(self, modified):
-        assert modified.dropped_packets() == 0
+        assert modified.metrics.drops == 0
         assert modified.stats().vlrt_fraction < 0.005
 
     def test_dispatches_avoid_stalled_member(self, modified):
@@ -208,7 +208,7 @@ class TestFig12and13PolicyRemedy:
     """§V-B: current_load avoids the scheduling instability."""
 
     def test_no_drops_and_no_vlrt(self, current_load):
-        assert current_load.dropped_packets() == 0
+        assert current_load.metrics.drops == 0
         assert current_load.stats().vlrt_fraction < 0.005
 
     def test_avg_rt_improvement_factor(self, current_load, original):
@@ -313,7 +313,7 @@ class TestDeterminism:
         second = ExperimentRunner(
             policy_run("current_load", duration=3.0, seed=5)).run()
         assert first.stats() == second.stats()
-        assert first.dropped_packets() == second.dropped_packets()
+        assert first.metrics.drops == second.metrics.drops
 
     def test_different_seed_different_trace(self):
         first = ExperimentRunner(

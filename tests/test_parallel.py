@@ -9,17 +9,14 @@ from repro.analysis.report import improvement_factors, table1
 from repro.cluster.runner import (
     ExperimentConfig,
     ExperimentRunner,
+    Grid,
+    RunMetrics,
     compare_policies,
 )
 from repro.cluster.scenarios import policy_run
-from repro.cluster.sweeps import Sweep
+from repro.cluster.spec import TopologySpec
 from repro.errors import ConfigurationError
-from repro.parallel import (
-    ExperimentSummary,
-    replicate,
-    run_experiments,
-    summarize,
-)
+from repro.parallel import replicate, run_experiments
 
 
 def small_config(seed=11, bundle_key="original_total_request"):
@@ -31,21 +28,22 @@ class TestSummarize:
     def test_summary_matches_full_result(self):
         config = small_config()
         result = ExperimentRunner(config).run()
-        summary = summarize(result)
-        assert summary.response_stats == result.stats()
-        assert summary.dropped == result.dropped_packets()
-        assert summary.table1_row() == result.table1_row()
-        assert summary.summary() == result.summary()
-        assert summary.config == config
+        metrics = result.metrics
+        assert metrics is result.metrics  # built once, on first access
+        assert metrics.stats() == result.stats()
+        assert metrics.drops == sum(frontend.socket.dropped
+                                    for frontend in result.system.frontends)
+        assert metrics.config == config
+        assert metrics.summary().startswith("original_total_request: ")
 
     def test_summary_is_picklable(self):
-        summary = summarize(ExperimentRunner(small_config()).run())
-        clone = pickle.loads(pickle.dumps(summary))
-        assert clone.response_stats == summary.response_stats
-        assert clone.queue_series.keys() == summary.queue_series.keys()
+        metrics = ExperimentRunner(small_config()).run().metrics
+        clone = pickle.loads(pickle.dumps(metrics))
+        assert clone == metrics
+        assert clone.summary() == metrics.summary()
 
     def test_full_result_is_not_picklable(self):
-        """The reason the pool ships summaries, not results."""
+        """The reason the pool ships metrics, not results."""
         result = ExperimentRunner(small_config()).run()
         with pytest.raises(Exception):
             pickle.dumps(result)
@@ -57,28 +55,29 @@ class TestRunExperiments:
         serial, = run_experiments([config], workers=1)
         parallel = run_experiments([config, small_config(seed=22)],
                                    workers=2)
-        assert serial.response_stats == parallel[0].response_stats
-        assert serial.dropped == parallel[0].dropped
+        assert serial == parallel[0]
 
     def test_results_come_back_in_submission_order(self):
         seeds = [31, 32, 33]
-        summaries = run_experiments(
+        runs = run_experiments(
             [small_config(seed=seed) for seed in seeds], workers=2)
-        assert [s.config.seed for s in summaries] == seeds
+        assert [run.config.seed for run in runs] == seeds
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiments([small_config()], workers=0)
 
-    def test_custom_postprocess_runs_in_worker(self):
-        rows = run_experiments([small_config(seed=41),
-                                small_config(seed=42)],
-                               workers=2, postprocess=_request_count)
-        assert all(isinstance(count, int) and count > 0 for count in rows)
-
-
-def _request_count(result):
-    return result.stats().count
+    def test_pooled_topology_summary_matches_live(self):
+        """A pooled topology run is labelled by its topology, exactly as
+        the live result is (the pool once fell back to ``bundle_key``)."""
+        spec = TopologySpec.geo(clients=40)
+        config = ExperimentConfig(profile=spec.scale_profile(),
+                                  topology=spec, duration=2.0)
+        live = ExperimentRunner(config).run().metrics.summary()
+        pooled = run_experiments([config, replace(config, seed=12)],
+                                 workers=2)[0].summary()
+        assert live.startswith("topology:geo: ")
+        assert pooled == live
 
 
 class TestReplicate:
@@ -86,14 +85,13 @@ class TestReplicate:
         rep = replicate(small_config(), seeds=[3, 1, 2], workers=2)
         assert rep.seeds == (3, 1, 2)
         assert set(rep.by_seed()) == {1, 2, 3}
-        for seed, summary in rep.by_seed().items():
-            assert summary.config.seed == seed
+        for seed, run in rep.by_seed().items():
+            assert run.config.seed == seed
 
     def test_replications_match_direct_runs(self):
         rep = replicate(small_config(), seeds=[5, 6], workers=2)
-        direct = summarize(
-            ExperimentRunner(replace(small_config(), seed=6)).run())
-        assert rep.by_seed()[6].response_stats == direct.response_stats
+        direct = ExperimentRunner(replace(small_config(), seed=6)).run()
+        assert rep.by_seed()[6] == direct.metrics
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -105,6 +103,11 @@ class TestReplicate:
         assert aggregate["avg_rt_ms_mean"] > 0
         assert "vlrt_pct_std" in aggregate
 
+    def test_serial_and_parallel_identical(self):
+        serial = replicate(small_config(), seeds=[9, 10], workers=1)
+        assert replicate(small_config(), seeds=[9, 10],
+                         workers=2) == serial
+
 
 class TestComparePoliciesWorkers:
     KEYS = ["original_total_request", "current_load"]
@@ -115,10 +118,12 @@ class TestComparePoliciesWorkers:
                                   duration=2.0, seed=51)
         parallel = compare_policies(self.KEYS, profile=profile,
                                     duration=2.0, seed=51, workers=2)
-        for full, summary in zip(serial, parallel):
-            assert isinstance(summary, ExperimentSummary)
-            assert full.stats() == summary.stats()
-            assert full.config.bundle_key == summary.config.bundle_key
+        assert [type(run) for run in serial] == [RunMetrics, RunMetrics]
+        assert [type(run) for run in parallel] == [RunMetrics, RunMetrics]
+        for one, pooled in zip(serial, parallel):
+            assert one.stats() == pooled.stats()
+            assert one.table1_row() == pooled.table1_row()
+            assert one.config.bundle_key == pooled.config.bundle_key
 
     def test_summaries_feed_reports(self):
         profile = small_config().profile
@@ -132,7 +137,42 @@ class TestComparePoliciesWorkers:
 
 class TestSweepWorkers:
     def test_parallel_rows_match_serial(self):
-        def sweep():
-            return Sweep(small_config()).over("seed", [61, 62, 63])
+        def grid():
+            return Grid(small_config(), {
+                "seed": {str(seed): {"seed": seed} for seed in (61, 62)},
+                "clients": {"60": {"profile.clients": 60},
+                            "90": {"profile.clients": 90}}})
 
-        assert sweep().run(workers=2) == sweep().run(workers=1)
+        serial = grid().run(workers=1)
+        assert [labels for labels, _ in serial] == [
+            {"seed": "61", "clients": "60"}, {"seed": "61", "clients": "90"},
+            {"seed": "62", "clients": "60"}, {"seed": "62", "clients": "90"}]
+        assert grid().run(workers=2) == serial
+
+
+class TestGridWorkers:
+    """Every suite grid returns identical rows serially and pooled."""
+
+    def test_rematch_rows(self):
+        from repro.cluster.scenarios import PolicyRematch
+
+        def suite():
+            return PolicyRematch(bundle_keys=["prequal", "jiq"],
+                                 fault_keys=["slow"], duration=2.0)
+
+        serial = suite().run(workers=1)
+        assert [labels for labels, _ in serial] == [
+            {"bundle": "prequal", "fault": "slow"},
+            {"bundle": "jiq", "fault": "slow"}]
+        assert suite().run(workers=2) == serial
+
+    def test_geo_rows(self):
+        from repro.cluster.geo import GeoSuite
+
+        def suite():
+            return GeoSuite(fault_keys=["cache_failover"], duration=2.0,
+                            clients=40)
+
+        serial = suite().run(workers=1)
+        assert all(run.vlrt_buckets is not None for _, run in serial)
+        assert suite().run(workers=2) == serial

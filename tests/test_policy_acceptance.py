@@ -44,7 +44,7 @@ class TestRematchAcceptance:
     def test_baseline_funnels_into_the_millibottleneck(self, cell):
         baseline = cell["original_total_request"]
         assert 100.0 * baseline.stats().vlrt_fraction > 5.0
-        assert baseline.dropped_packets() > 0
+        assert baseline.drops > 0
 
     def test_prequal_beats_the_baseline_on_vlrt(self, cell):
         """Probed-RIF ranking dodges most of the funnel — and the probe
@@ -54,7 +54,7 @@ class TestRematchAcceptance:
         base_vlrt = 100.0 * baseline.stats().vlrt_fraction
         prequal_vlrt = 100.0 * prequal.stats().vlrt_fraction
         assert prequal_vlrt < 0.7 * base_vlrt
-        assert prequal.probe_messages() > 0
+        assert prequal.probes > 0
         assert prequal.goodput() > baseline.goodput()
 
     def test_jiq_beats_the_baseline_on_vlrt(self, cell):
@@ -63,18 +63,18 @@ class TestRematchAcceptance:
         baseline = cell["original_total_request"]
         jiq = cell["jiq"]
         assert 100.0 * jiq.stats().vlrt_fraction < 1.0
-        assert jiq.dropped_packets() == 0
+        assert jiq.drops == 0
         assert jiq.goodput() > baseline.goodput()
-        assert jiq.probe_messages() == 0  # the idle queue costs no traffic
+        assert jiq.probes == 0  # the idle queue costs no traffic
 
     def test_sticky_reports_its_broken_promises(self, cell):
         """Affinity under millibottlenecks: the 3-state machine forces
         failovers, and every one is counted — never silently absorbed."""
         baseline = cell["original_total_request"]
         sticky = cell["sticky"]
-        assert sticky.sticky_violations() > 0
+        assert sticky.sticky_violations > 0
         # The current_load fallback still beats the cumulative baseline,
         # but affinity gives back part of that win.
         assert (100.0 * sticky.stats().vlrt_fraction
                 < 100.0 * baseline.stats().vlrt_fraction)
-        assert baseline.sticky_violations() == 0
+        assert baseline.sticky_violations == 0

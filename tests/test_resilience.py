@@ -400,7 +400,7 @@ class TestRemediesEndToEnd:
         result = run_cell(ResilienceConfig(retry=RetryPolicy(
             request_timeout=0.3, max_attempts=3)), faults=[SLOW])
         assert result.population.retries_issued > 0
-        assert result.retry_amplification() > 1.05
+        assert result.metrics.retry_amplification() > 1.05
         baseline = run_cell(None, faults=[SLOW])
         # Retrying abandons stuck attempts: far fewer VLRT responses.
         assert (result.stats().vlrt_fraction
@@ -409,7 +409,7 @@ class TestRemediesEndToEnd:
     def test_hedging_fires_and_reduces_tail(self):
         result = run_cell(ResilienceConfig(hedge=HedgePolicy(delay=0.2)),
                           faults=[SLOW])
-        assert result.hedges_issued() > 0
+        assert result.metrics.hedges > 0
         hedger_wins = sum(h.hedge_wins for h in result.system.hedgers)
         assert hedger_wins > 0
         baseline = run_cell(None, faults=[SLOW])
@@ -418,20 +418,22 @@ class TestRemediesEndToEnd:
 
     def test_retry_amplification_is_one_without_remedies(self):
         result = run_cell(None)
-        assert result.retry_amplification() == pytest.approx(1.0,
+        assert result.metrics.retry_amplification() == pytest.approx(1.0,
                                                              abs=0.02)
-        assert result.availability() == pytest.approx(1.0)
+        assert result.metrics.availability() == pytest.approx(1.0)
 
     def test_summary_mirrors_result_metrics(self):
-        from repro.parallel import summarize
+        """The pooled (pickled) metrics of a faulted, remedied run equal
+        the live result's."""
+        import pickle
 
         result = run_cell(ResilienceConfig(retry=RetryPolicy(
             request_timeout=0.3)), faults=[SLOW])
-        summary = summarize(result)
-        assert summary.availability() == pytest.approx(
-            result.availability())
-        assert summary.retry_amplification() == pytest.approx(
-            result.retry_amplification())
-        assert summary.goodput() == pytest.approx(result.goodput())
-        assert summary.error_responses() == result.error_responses()
-        assert summary.fault_count == 1
+        metrics = result.metrics
+        clone = pickle.loads(pickle.dumps(metrics))
+        assert clone == metrics
+        assert clone.availability() == metrics.availability()
+        assert clone.retry_amplification() > 1.0
+        assert clone.goodput() == metrics.goodput()
+        assert clone.errors_503 == metrics.errors_503
+        assert clone.config.faults == (SLOW,)

@@ -124,4 +124,4 @@ class TestZeroCostWhenOff:
         untraced = ExperimentRunner(scenario_config(False)).run()
         assert traced.stats().count == untraced.stats().count
         assert traced.stats().mean == untraced.stats().mean
-        assert traced.dropped_packets() == untraced.dropped_packets()
+        assert traced.metrics.drops == untraced.metrics.drops

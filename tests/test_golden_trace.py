@@ -16,15 +16,26 @@ Two independent fixtures localise a breakage:
   99, millibottlenecks included) through :class:`ExperimentRunner` — if
   only this one diverges, the kernel is fine and the breakage lives in
   the model/policy stack above it.
+
+The scenario class also pins short runs of the paper's Fig. 1
+(``baseline_no_millibottleneck``) and Fig. 2
+(``single_node_millibottleneck``) scenarios exactly as their scenario
+functions build them, so a change to how either deployment is expressed
+or built cannot move its event schedule unnoticed.
 """
 
 import hashlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.cluster.config import ScaleProfile
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
+from repro.cluster.scenarios import (
+    baseline_no_millibottleneck,
+    single_node_millibottleneck,
+)
 from repro.sim.core import Environment
 from repro.sim.queues import Store
 from repro.sim.resources import Resource
@@ -37,6 +48,15 @@ GOLDEN_EVENTS = 741
 SCENARIO_SHA256 = (
     "717cee562c17efcc061d5fab3b3a2ee18acdee7373846a7d24288bd7a8d1293e")
 SCENARIO_EVENTS = 17113
+
+#: Paper-figure fixtures, 2 simulated seconds at seed 5:
+#: scenario function, event count, trace hash.
+FIGURE_GOLDENS = {
+    "fig1": (baseline_no_millibottleneck, 111839,
+             "0f9c85d4c6996cdd99d39efd2b56e171809e5ab2312d68d1e7884c76fd5d889c"),
+    "fig2": (single_node_millibottleneck, 26164,
+             "a1e297fc2075a10508018146b452cb908b5e8ff252a54745c65fd0a700ca23d5"),
+}
 
 
 def build_scenario(env, rng):
@@ -88,6 +108,16 @@ def trace_hash(records):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def config_trace_run(config):
+    """Trace one :class:`ExperimentConfig` run end to end."""
+    env = Environment()
+    records = []
+    env.trace = lambda when, event: records.append(
+        (when, type(event).__name__))
+    ExperimentRunner(config).run(env=env)
+    return records
+
+
 def scenario_trace_run(seed=99, until=6.0):
     """Trace a small full-stack current_load experiment.
 
@@ -95,17 +125,12 @@ def scenario_trace_run(seed=99, until=6.0):
     about: a ramp-up, steady dispatching under the current_load policy,
     and two millibottleneck flush stalls inside the traced window.
     """
-    env = Environment()
-    records = []
-    env.trace = lambda when, event: records.append(
-        (when, type(event).__name__))
     profile = replace(ScaleProfile.smoke(), clients=120,
                       flush_threshold_bytes=32e3)
     config = ExperimentConfig(
         bundle_key="current_load", profile=profile, duration=until,
         seed=seed, trace_lb_values=False, trace_dispatches=False)
-    ExperimentRunner(config).run(env=env)
-    return records
+    return config_trace_run(config)
 
 
 class TestGoldenTrace:
@@ -134,3 +159,10 @@ class TestScenarioGoldenTrace:
 
     def test_different_seed_changes_the_trace(self):
         assert trace_hash(scenario_trace_run(seed=100)) != SCENARIO_SHA256
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_GOLDENS))
+    def test_figure_trace_matches_committed_golden(self, figure):
+        make_config, events, sha256 = FIGURE_GOLDENS[figure]
+        records = config_trace_run(make_config(duration=2.0, seed=5))
+        assert len(records) == events
+        assert trace_hash(records) == sha256

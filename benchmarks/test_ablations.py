@@ -13,7 +13,7 @@ import numpy as np
 from conftest import BENCH_SEED, banner
 
 from repro.analysis import table
-from repro.cluster import ScaleProfile, build_system
+from repro.cluster import ScaleProfile, TopologySpec, build_from_spec
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
 from repro.core import BalancerConfig, OriginalGetEndpoint, make_policy
 from repro.netmodel import RetransmissionPolicy
@@ -35,9 +35,10 @@ def custom_run(policy_name: str, mechanism_factory, duration=DURATION,
     env = Environment()
     rng = np.random.default_rng(seed)
     profile = profile or ScaleProfile()
-    system = build_system(
-        env, profile, rng=rng,
-        tomcat_millibottlenecks=millibottlenecks,
+    system = build_from_spec(
+        env, TopologySpec.classic(
+            profile, tomcat_millibottlenecks=millibottlenecks),
+        profile, rng=rng,
         policy_factory=lambda: make_policy(policy_name),
         mechanism_factory=mechanism_factory,
         balancer_config=BalancerConfig(
@@ -45,16 +46,16 @@ def custom_run(policy_name: str, mechanism_factory, duration=DURATION,
             trace_lb_values=False, trace_dispatches=False),
     )
     if stall_source is not None:
-        for tomcat in system.tomcats:
+        for tomcat in system.tiers["tomcat"]:
             stall_source(tomcat.host, rng)
     population = ClientPopulation(
-        env, [apache.socket for apache in system.apaches],
+        env, [apache.socket for apache in system.frontends],
         total_clients=profile.clients, mix=read_write_mix(), rng=rng,
         think_time=profile.think_time,
         retransmission=RetransmissionPolicy())
     env.run(until=duration)
     stats = population.recorder.stats()
-    drops = sum(apache.socket.dropped for apache in system.apaches)
+    drops = sum(apache.socket.dropped for apache in system.frontends)
     return stats, drops, system
 
 
@@ -235,9 +236,10 @@ def test_ablation_bursty_workload_negative_control(benchmark):
     def run_policy(policy_name):
         env = Environment()
         rng = np.random.default_rng(BENCH_SEED)
-        system = build_system(
-            env, profile, rng=rng,
-            tomcat_millibottlenecks=False,  # no stalls at all
+        system = build_from_spec(
+            env, TopologySpec.classic(
+                profile, tomcat_millibottlenecks=False),  # no stalls at all
+            profile, rng=rng,
             policy_factory=lambda: make_policy(policy_name),
             mechanism_factory=OriginalGetEndpoint,
             balancer_config=BalancerConfig(
@@ -247,13 +249,13 @@ def test_ablation_bursty_workload_negative_control(benchmark):
         generators = [
             OpenLoopGenerator(env, apache.socket, read_write_mix(),
                               burst, rng)
-            for apache in system.apaches
+            for apache in system.frontends
         ]
         env.run(until=DURATION)
         recorders = [generator.recorder for generator in generators]
         times = [rt for recorder in recorders
                  for rt in recorder.response_times]
-        drops = sum(apache.socket.dropped for apache in system.apaches)
+        drops = sum(apache.socket.dropped for apache in system.frontends)
         mean_ms = 1000 * float(np.mean(times))
         vlrt = sum(1 for rt in times if rt > 1.0)
         return mean_ms, vlrt, len(times), drops

@@ -14,9 +14,8 @@ Run:  python examples/custom_policy.py
 
 import numpy as np
 
-from repro import ScaleProfile
+from repro import ScaleProfile, TopologySpec, build_from_spec
 from repro.analysis import table
-from repro.cluster.topology import build_system
 from repro.core import (
     BalancerConfig,
     OriginalGetEndpoint,
@@ -43,7 +42,7 @@ class ResponsiveCurrentLoadPolicy(Policy):
 
     STALL_PENALTY = 1e6
 
-    def select(self, eligible, rng):
+    def select(self, eligible, rng, request=None):
         def key(member):
             penalty = 0.0 if member.server.responsive else self.STALL_PENALTY
             return (member.lb_value + penalty, member.index)
@@ -67,8 +66,8 @@ def run(policy_factory, mechanism_factory, label, duration=10.0, seed=3):
     env = Environment()
     rng = np.random.default_rng(seed)
     profile = ScaleProfile()
-    system = build_system(
-        env, profile,
+    system = build_from_spec(
+        env, TopologySpec.classic(profile), profile,
         rng=rng,
         policy_factory=policy_factory,
         mechanism_factory=mechanism_factory,
@@ -77,13 +76,13 @@ def run(policy_factory, mechanism_factory, label, duration=10.0, seed=3):
             trace_lb_values=False, trace_dispatches=False),
     )
     population = ClientPopulation(
-        env, [apache.socket for apache in system.apaches],
+        env, [apache.socket for apache in system.frontends],
         total_clients=profile.clients, mix=read_write_mix(), rng=rng,
         think_time=profile.think_time,
         retransmission=RetransmissionPolicy())
     env.run(until=duration)
     stats = population.recorder.stats()
-    drops = sum(apache.socket.dropped for apache in system.apaches)
+    drops = sum(apache.socket.dropped for apache in system.frontends)
     return [label, stats.count, "{:.2f}".format(stats.mean_ms),
             "{:.2f}%".format(100 * stats.vlrt_fraction), drops]
 

@@ -17,9 +17,9 @@ Run:  python examples/fault_tolerance.py
 
 import numpy as np
 
-from repro import ScaleProfile
+from repro import ScaleProfile, TopologySpec, build_from_spec
 from repro.analysis import table
-from repro.cluster import FaultInjector, build_system
+from repro.cluster import FaultInjector
 from repro.core import MemberState, StateConfig, get_bundle
 from repro.core.balancer import BalancerConfig
 from repro.netmodel import RetransmissionPolicy
@@ -33,11 +33,10 @@ def main() -> None:
     env = Environment()
     rng = np.random.default_rng(11)
     profile = ScaleProfile()
-    system = build_system(
-        env, profile,
-        bundle=get_bundle("current_load_modified"),
+    system = build_from_spec(
+        env, TopologySpec.classic(profile), profile,
         rng=rng,
-        tomcat_millibottlenecks=True,
+        default_bundle=get_bundle("current_load_modified"),
         balancer_config=BalancerConfig(
             pool_size=profile.connection_pool_size,
             trace_lb_values=False, trace_dispatches=True),
@@ -45,12 +44,12 @@ def main() -> None:
                                  error_recovery=30.0),
     )
     population = ClientPopulation(
-        env, [apache.socket for apache in system.apaches],
+        env, [apache.socket for apache in system.frontends],
         total_clients=profile.clients, mix=read_write_mix(), rng=rng,
         think_time=profile.think_time,
         retransmission=RetransmissionPolicy())
     injector = FaultInjector(env)
-    injector.crash_at(system.tomcats[2], at=5.0)  # tomcat3 dies
+    injector.crash_at(system.tiers["tomcat"][2], at=5.0)  # tomcat3 dies
 
     print("Running {}s with millibottlenecks on all Tomcats and a "
           "permanent crash of tomcat3 at t=5s...".format(DURATION))
@@ -61,7 +60,7 @@ def main() -> None:
     print("client view: {} requests, avg RT {:.2f} ms, VLRT {:.2f}%, "
           "drops {}".format(stats.count, stats.mean_ms,
                             100 * stats.vlrt_fraction,
-                            sum(a.socket.dropped for a in system.apaches)))
+                            sum(a.socket.dropped for a in system.frontends)))
 
     print()
     print("dispatches per backend, before vs after the crash "

@@ -33,7 +33,7 @@ from repro.cluster.runner import (
 )
 from repro.cluster.scenarios import Scenario
 from repro.cluster.spec import TopologySpec
-from repro.cluster.topology import NTierSystem, build_from_spec, build_system
+from repro.cluster.topology import NTierSystem, build_from_spec
 from repro.core.balancer import BalancerConfig, DirectDispatcher, LoadBalancer
 from repro.core.mechanism import ModifiedGetEndpoint, OriginalGetEndpoint
 from repro.core.policies import (
@@ -70,7 +70,6 @@ __all__ = [
     "ScaleProfile",
     "compare_policies",
     "NTierSystem",
-    "build_system",
     "build_from_spec",
     "TopologySpec",
     "Replication",

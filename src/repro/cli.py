@@ -146,13 +146,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
     from repro.analysis.export import export_result
 
-    config = Scenario.named(args.scenario)
+    config = replace(Scenario.named(args.scenario), sample_dirty_pages=True)
     if args.duration is not None:
         config = replace(config, duration=args.duration)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if "fig2" not in args.scenario:
-        config = replace(config, sample_dirty_pages=True)
     result = ExperimentRunner(config).run()
     out = export_result(result, args.out)
     print(result.metrics.summary())

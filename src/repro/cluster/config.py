@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
-from repro.osmodel.profiles import MillibottleneckProfile
 
 
 @dataclass(frozen=True)
@@ -114,24 +113,6 @@ class ScaleProfile:
             raise ConfigurationError("need at least one client")
         if self.think_time <= 0:
             raise ConfigurationError("think_time must be positive")
-
-    # -- derived -----------------------------------------------------------
-    def tomcat_flush_profile(self, index: int) -> MillibottleneckProfile:
-        """Flush profile of the ``index``-th Tomcat (staggered phase)."""
-        return MillibottleneckProfile(
-            flush_interval=self.flush_interval,
-            dirty_threshold_bytes=self.flush_threshold_bytes,
-            phase=self.tomcat_flush_stagger * index,
-        )
-
-    def apache_flush_profile(self, index: int) -> MillibottleneckProfile:
-        """Flush profile for Apache hosts (only the §III-B scenario
-        enables web-tier flushing)."""
-        return MillibottleneckProfile(
-            flush_interval=self.flush_interval,
-            dirty_threshold_bytes=self.flush_threshold_bytes,
-            phase=self.tomcat_flush_stagger * index + 0.5,
-        )
 
     def scaled(self, factor: float) -> "ScaleProfile":
         """A copy with the client population scaled by ``factor``.

@@ -256,10 +256,6 @@ class FaultInjector:
     def __init__(self, env: "Environment",
                  rng: Optional[np.random.Generator] = None) -> None:
         self.env = env
-        # SEED003 (baselined): shares seed 0 with the topology builder's
-        # fallback; changing it reorders every fault schedule and breaks
-        # golden-trace equality, so the coincidence is accepted for the
-        # no-rng path and recorded in statan-baseline.json.
         self._rng = rng or np.random.default_rng(DEFAULT_FAULT_SEED)
         #: Crash ground truth, appended at crash time.
         self.records: list[CrashRecord] = []

@@ -23,12 +23,11 @@ import numpy as np
 from repro.cluster.config import ScaleProfile
 from repro.cluster.faults import FaultInjector, FaultSpec, fault_horizon
 from repro.cluster.spec import TopologySpec
-from repro.cluster.topology import NTierSystem, build_from_spec, build_system
+from repro.cluster.topology import NTierSystem, build_from_spec
 from repro.controlplane import ControlPlaneConfig
 from repro.controlplane.install import install_controlplane
 from repro.core.balancer import BalancerConfig
 from repro.core.remedies import RemedyBundle, get_bundle
-from repro.core.states import StateConfig
 from repro.errors import ConfigurationError
 from repro.metrics.recorder import ResponseTimeRecorder
 from repro.metrics.stats import ResponseTimeStats
@@ -54,18 +53,18 @@ FAULT_RNG_STREAM = 0xFA
 class ExperimentConfig:
     """Everything that defines one run.
 
-    ``bundle_key`` picks a Table-I policy/mechanism combination; the
-    no-balancer configuration (§III-B) is selected with
-    ``use_balancer=False`` and a single-node profile.
+    ``bundle_key`` picks a Table-I policy/mechanism combination.  The
+    deployment is ``topology``, or the paper's Fig. 14 shape
+    (:meth:`TopologySpec.classic` of ``profile``) when that is ``None``.
     """
 
     bundle_key: str = "original_total_request"
     profile: ScaleProfile = field(default_factory=ScaleProfile)
     duration: float = 30.0
     seed: int = 42
+    #: Whether the classic shape's app-tier hosts flush (a given
+    #: ``topology`` declares its own :class:`FlushSpec`s instead).
     tomcat_millibottlenecks: bool = True
-    apache_millibottlenecks: bool = False
-    use_balancer: bool = True
     sample_window: float = PAPER_WINDOW
     trace_lb_values: bool = True
     trace_dispatches: bool = True
@@ -91,8 +90,7 @@ class ExperimentConfig:
     batched_sampling: bool = False
     #: Declarative topology to build instead of the classic 3-tier
     #: shape.  Balanced boundaries without a bundle of their own fall
-    #: back to ``bundle_key``; ``use_balancer`` and the
-    #: millibottleneck flags are ignored (the spec carries all that).
+    #: back to ``bundle_key``.
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
@@ -100,6 +98,10 @@ class ExperimentConfig:
             raise ConfigurationError("duration must be positive")
         if self.sample_window <= 0:
             raise ConfigurationError("sample_window must be positive")
+        if self.topology is not None and not self.tomcat_millibottlenecks:
+            raise ConfigurationError(
+                "tomcat_millibottlenecks applies to the classic shape "
+                "only; a topology's FlushSpecs decide its flushing")
 
     def bundle(self) -> RemedyBundle:
         return get_bundle(self.bundle_key)
@@ -407,24 +409,14 @@ class ExperimentRunner:
             trace_lb_values=config.trace_lb_values,
             trace_dispatches=config.trace_dispatches,
         )
-        if config.topology is not None:
-            system = build_from_spec(
-                env, config.topology, profile=profile, rng=rng,
-                balancer_config=balancer_config,
-                resilience=config.resilience,
-                default_bundle=config.bundle(),
-            )
-        else:
-            system = build_system(
-                env, profile,
-                bundle=config.bundle() if config.use_balancer else None,
-                rng=rng,
-                tomcat_millibottlenecks=config.tomcat_millibottlenecks,
-                apache_millibottlenecks=config.apache_millibottlenecks,
-                balancer_config=balancer_config,
-                use_balancer=config.use_balancer,
-                resilience=config.resilience,
-            )
+        spec = config.topology or TopologySpec.classic(
+            profile, tomcat_millibottlenecks=config.tomcat_millibottlenecks)
+        system = build_from_spec(
+            env, spec, profile=profile, rng=rng,
+            balancer_config=balancer_config,
+            resilience=config.resilience,
+            default_bundle=config.bundle(),
+        )
 
         if config.controlplane is not None and config.controlplane.enabled:
             install_controlplane(env, system, config.controlplane)

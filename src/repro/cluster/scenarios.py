@@ -51,7 +51,6 @@ def baseline_no_millibottleneck(duration: float = FIGURE_DURATION,
         duration=duration,
         seed=seed,
         tomcat_millibottlenecks=False,
-        apache_millibottlenecks=False,
     )
 
 
@@ -63,15 +62,15 @@ def single_node_millibottleneck(duration: float = FIGURE_DURATION,
     millibottlenecks on each), producing the two kinds of Apache queue
     peak: its own stall, and the push-back wave from Tomcat.
     """
+    profile = ScaleProfile.single_node()
     return ExperimentConfig(
         bundle_key="original_total_request",  # unused (no balancer)
-        profile=ScaleProfile.single_node(),
+        profile=profile,
         duration=duration,
         seed=seed,
-        tomcat_millibottlenecks=True,
-        apache_millibottlenecks=True,
-        use_balancer=False,
         sample_dirty_pages=True,
+        topology=TopologySpec.classic(profile, apache_millibottlenecks=True,
+                                      use_balancer=False),
     )
 
 
@@ -85,8 +84,6 @@ def policy_run(bundle_key: str, duration: float = FIGURE_DURATION,
         profile=ScaleProfile(),
         duration=duration,
         seed=seed,
-        tomcat_millibottlenecks=True,
-        apache_millibottlenecks=False,
         trace_lb_values=trace,
         trace_dispatches=trace,
     )

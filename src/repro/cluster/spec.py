@@ -16,8 +16,7 @@ picklable across process pools, and validated eagerly with
 :class:`~repro.errors.ConfigurationError`\\ s that name the offending
 field.  :func:`repro.cluster.topology.build_from_spec` turns a spec
 into a wired :class:`~repro.cluster.topology.NTierSystem`; the classic
-paper topology is :meth:`TopologySpec.classic` and builds an
-event-for-event identical system to the historical hand-coded one.
+paper topology is :meth:`TopologySpec.classic`.
 """
 
 from __future__ import annotations
@@ -824,13 +823,13 @@ class TopologySpec:
     def classic(cls, profile: Optional[ScaleProfile] = None,
                 tomcat_millibottlenecks: bool = True,
                 apache_millibottlenecks: bool = False,
-                use_balancer: bool = True,
-                bundle: Optional[str] = None) -> "TopologySpec":
+                use_balancer: bool = True) -> "TopologySpec":
         """The paper's Fig. 14 topology as data.
 
-        Building this spec produces a system event-for-event identical
-        to the historical hand-coded ``build_system`` — the golden
-        traces prove it.
+        ``use_balancer=False`` makes every Apache round-robin directly
+        over the Tomcats (the §III-B single-node configuration is the
+        1/1 case).  The balanced boundary names no bundle: the
+        experiment's ``bundle_key`` fills it in.
         """
         profile = profile or ScaleProfile()
         tomcat_flush = (FlushSpec(
@@ -866,8 +865,7 @@ class TopologySpec:
                          cores=profile.mysql_cores),
             ),
             boundaries=(
-                BoundarySpec(mode="balanced" if use_balancer else "direct",
-                             bundle=bundle if use_balancer else None),
+                BoundarySpec(mode="balanced" if use_balancer else "direct"),
                 BoundarySpec(mode="inline"),
             ),
             workload=WorkloadSpec(clients=profile.clients,

@@ -5,13 +5,8 @@
 :class:`NTierSystem`: tiers are built back to front (each tier's
 dispatchers need the next tier's servers), with one balancer — or
 round-robin direct dispatcher — per upstream server at every
-non-inline boundary.
-
-:func:`build_system` is the classic entry point: it expresses the
-paper's fixed 3-tier shape as :meth:`TopologySpec.classic` and builds
-it through the generic path, producing a system event-for-event
-identical to the historical hand-coded builder (the golden traces pin
-this).
+non-inline boundary.  The paper's fixed 3-tier shape is no special
+case: it is the spec :meth:`TopologySpec.classic` returns.
 """
 
 from __future__ import annotations
@@ -57,36 +52,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.probes import HealthProber
     from repro.sim.core import Environment
 
-#: Seed of the generator the builders fall back to when the caller does
-#: not inject one.  Experiments always inject the config-seeded
-#: generator (see ``ExperimentRunner.run``); the explicit fallback seed
-#: exists so ad-hoc construction in tests and notebooks is reproducible
-#: too, never entropy-seeded.
-DEFAULT_BUILD_SEED = 0
-
-
 @dataclass
 class NTierSystem:
     """All the servers of one experiment, fully wired.
 
-    Tiers are addressed generically — ``system.tiers["tomcat"]`` is the
-    list of app-tier replicas, front-to-back order in ``tier_names`` —
-    while ``apaches``/``tomcats``/``mysql`` remain as thin accessors
-    for the classic 3-tier shape.
+    Tiers are addressed generically: ``system.tiers["tomcat"]`` is the
+    list of app-tier replicas, front-to-back order in ``tier_names``,
+    and ``frontends`` is the client-facing tier.
     """
 
     env: "Environment"
     profile: ScaleProfile
     tier_names: tuple[str, ...]
     tiers: dict[str, list[TierServer]]
+    #: The declarative spec the system was built from.
+    spec: TopologySpec
     balancers: list[LoadBalancer] = field(default_factory=list)
     direct_dispatchers: list[DirectDispatcher] = field(default_factory=list)
     #: Health-probe drivers, one per balancer (when probes configured).
     probers: list["HealthProber"] = field(default_factory=list)
     #: Hedging wrappers, one per balancer (when hedging configured).
     hedgers: list["HedgingDispatcher"] = field(default_factory=list)
-    #: The declarative spec the system was built from (when it was).
-    spec: Optional[TopologySpec] = None
     #: Control-plane attachments (empty unless configured).
     autoscalers: list["ReactiveAutoscaler"] = field(default_factory=list)
     admissions: list["TokenBucketAdmission"] = field(default_factory=list)
@@ -136,30 +122,12 @@ class NTierSystem:
     @property
     def zone_names(self) -> tuple[str, ...]:
         """Declared zones, in spec order (empty when zone-free)."""
-        if self.spec is None:
-            return ()
         return tuple(zone.name for zone in self.spec.zones)
 
     def servers_in_zone(self, zone: str) -> list[TierServer]:
         """Every live server placed in ``zone``, tier order."""
         return [server for server in self.servers
                 if getattr(server, "zone", None) == zone]
-
-    # -- classic accessors -------------------------------------------------
-    @property
-    def apaches(self) -> list[TierServer]:
-        """Classic alias for the web (first) tier."""
-        return self.frontends
-
-    @property
-    def tomcats(self) -> list[TierServer]:
-        """Classic alias for the app (second) tier."""
-        return self.tiers[self.tier_names[1]]
-
-    @property
-    def mysql(self) -> TierServer:
-        """Classic alias for the (first) database-tier server."""
-        return self.tiers[self.tier_names[-1]][0]
 
     # -- aggregates --------------------------------------------------------
     def millibottleneck_records(self):
@@ -182,8 +150,8 @@ def build_from_spec(
     env: "Environment",
     spec: TopologySpec,
     profile: Optional[ScaleProfile] = None,
-    rng: Optional[np.random.Generator] = None,
     *,
+    rng: np.random.Generator,
     balancer_config: Optional[BalancerConfig] = None,
     state_config: Optional[StateConfig] = None,
     policy_factory: Optional[Callable[[], Policy]] = None,
@@ -193,22 +161,14 @@ def build_from_spec(
 ) -> NTierSystem:
     """Build and wire the system a :class:`TopologySpec` describes.
 
-    ``rng`` should be the experiment's seeded generator; when omitted,
-    a generator seeded with :data:`DEFAULT_BUILD_SEED` keeps even
-    ad-hoc builds deterministic.
+    ``rng`` is the experiment's seeded generator, the one source of
+    the build's randomness.
 
     ``policy_factory``/``mechanism_factory`` and ``resilience``
-    override the *frontend* boundary (they are how the classic
-    ``build_system`` API plugs in); deeper boundaries take their
+    override the *frontend* boundary; deeper boundaries take their
     bundles from the spec.  ``default_bundle`` backstops any balanced
     boundary whose spec names no bundle.
     """
-    if rng is None:
-        # SEED003 (baselined): this fallback seed coincides with the
-        # fault injector's and prober's — acceptable for the ad-hoc
-        # no-rng path, and reseeding would shift every golden trace.
-        # Experiment runs always pass rng= (SEED001 enforces it).
-        rng = np.random.default_rng(DEFAULT_BUILD_SEED)
     profile = profile or ScaleProfile()
     config = balancer_config or BalancerConfig(
         pool_size=profile.connection_pool_size)
@@ -399,13 +359,10 @@ def replica_factory_for(system: NTierSystem,
                         tier_name: str) -> Callable[[int], TierServer]:
     """The builder for one more replica of ``tier_name``.
 
-    Only spec-built worker and pooled tiers have one; frontends cannot
-    scale at runtime (clients bind their sockets when the population is
+    Only worker and pooled tiers have one; frontends cannot scale at
+    runtime (clients bind their sockets when the population is
     created).
     """
-    if system.spec is None:
-        raise ConfigurationError(
-            "replica factories exist only on spec-built systems")
     try:
         return system._replica_factories[tier_name]
     except KeyError:
@@ -491,7 +448,7 @@ def _link_factory_for(env, system, owner_name: str,
     world.
     """
     spec = system.spec
-    zoned = spec is not None and bool(spec.zones)
+    zoned = bool(spec.zones)
     if not zoned and boundary.link is None:
         return None
 
@@ -567,8 +524,7 @@ def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
         boundary, depth, policy_factory, mechanism_factory, default_bundle)
     boundary_config = (replace(config, pool_size=boundary.pool_size)
                        if boundary.pool_size is not None else config)
-    weights = (system.spec.tiers[depth + 1].weights
-               if system.spec is not None else None)
+    weights = system.spec.tiers[depth + 1].weights
     boundary_resilience = _boundary_resilience(boundary, depth, resilience)
 
     def make_balancer(name, servers, zone_weights):
@@ -681,59 +637,6 @@ def _boundary_resilience(boundary, depth, resilience):
 
         return get_resilience(boundary.resilience)
     return None
-
-
-# -- classic entry point ----------------------------------------------------
-
-def build_system(
-    env: "Environment",
-    profile: ScaleProfile,
-    bundle: Optional[RemedyBundle] = None,
-    rng: Optional[np.random.Generator] = None,
-    tomcat_millibottlenecks: bool = True,
-    apache_millibottlenecks: bool = False,
-    policy_factory: Optional[Callable[[], Policy]] = None,
-    mechanism_factory: Optional[Callable[[], GetEndpointMechanism]] = None,
-    balancer_config: Optional[BalancerConfig] = None,
-    state_config: Optional[StateConfig] = None,
-    use_balancer: bool = True,
-    resilience: Optional["ResilienceConfig"] = None,
-) -> NTierSystem:
-    """Build and wire the paper's 3-tier system.
-
-    Either ``bundle`` or both factories must be given when
-    ``use_balancer``; with ``use_balancer=False`` every Apache
-    round-robins directly over the Tomcat tier (the single-node §III-B
-    configuration is the 1/1 special case).
-
-    ``rng`` should be the experiment's seeded generator; when omitted,
-    a generator seeded with :data:`DEFAULT_BUILD_SEED` keeps even
-    ad-hoc builds deterministic.
-
-    ``resilience`` wires the remedy layer around each balancer:
-    circuit breakers on the members, health probers, and a hedging
-    wrapper between Apache and its balancer.  ``None`` (and the
-    all-``None`` config) build a system event-for-event identical to
-    the seed one.  The client-side retry remedy lives with the client
-    population, not here.
-    """
-    if bundle is not None:
-        policy_factory = bundle.make_policy
-        mechanism_factory = bundle.make_mechanism
-    spec = TopologySpec.classic(
-        profile,
-        tomcat_millibottlenecks=tomcat_millibottlenecks,
-        apache_millibottlenecks=apache_millibottlenecks,
-        use_balancer=use_balancer,
-    )
-    return build_from_spec(
-        env, spec, profile=profile, rng=rng,
-        balancer_config=balancer_config,
-        state_config=state_config,
-        policy_factory=policy_factory if use_balancer else None,
-        mechanism_factory=mechanism_factory if use_balancer else None,
-        resilience=resilience,
-    )
 
 
 def _wire_resilience(env, system, balancer, resilience, rng):

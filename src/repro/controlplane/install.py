@@ -35,10 +35,6 @@ __all__ = ["autoscaled_tier_name", "install_controlplane"]
 def autoscaled_tier_name(system: "NTierSystem") -> str:
     """The tier a bundle-level autoscaler controls: the first
     worker-service tier of the spec."""
-    if system.spec is None:
-        raise ConfigurationError(
-            "autoscaling requires a spec-built system (the replica "
-            "factory lives in the topology spec)")
     for tier in system.spec.tiers:
         if tier.service == "worker":
             return tier.name

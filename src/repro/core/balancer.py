@@ -30,7 +30,7 @@ from repro.workload.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
-    from repro.tiers.tomcat import TomcatServer
+    from repro.tiers.base import TierServer
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class LoadBalancer:
     """One Apache's view of the application tier."""
 
     def __init__(self, env: "Environment", name: str,
-                 backends: Sequence["TomcatServer"],
+                 backends: Sequence["TierServer"],
                  policy: Policy,
                  mechanism: GetEndpointMechanism,
                  rng: np.random.Generator,
@@ -430,7 +430,7 @@ class DirectDispatcher:
     """
 
     def __init__(self, env: "Environment",
-                 backend: "TomcatServer" | Sequence["TomcatServer"],
+                 backend: "TierServer" | Sequence["TierServer"],
                  link_latency: float = 0.0002,
                  link_factory: Optional[Callable[[object], Link]] = None
                  ) -> None:
@@ -466,11 +466,6 @@ class DirectDispatcher:
         position = self.backends.index(server)
         self.backends.pop(position)
         self.links.pop(position)
-
-    @property
-    def backend(self) -> "TomcatServer":
-        """The sole backend of the classic single-server configuration."""
-        return self.backends[0]
 
     @property
     def link(self) -> Link:

@@ -21,7 +21,7 @@ from repro.workload.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
-    from repro.tiers.tomcat import TomcatServer
+    from repro.tiers.base import TierServer
 
 #: Table III: WorkerConnectionPoolSize.
 DEFAULT_POOL_SIZE = 25
@@ -49,7 +49,7 @@ class Endpoint:
 class BalancerMember:
     """State one balancer keeps about one backend server."""
 
-    def __init__(self, env: "Environment", server: "TomcatServer",
+    def __init__(self, env: "Environment", server: "TierServer",
                  index: int,
                  pool_size: int = DEFAULT_POOL_SIZE,
                  state_config: StateConfig | None = None,

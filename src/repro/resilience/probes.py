@@ -21,7 +21,7 @@ Consequences under the paper's fault taxonomy:
   stalls don't eject it — and when they do, the very next successful
   probe undoes it.
 
-Probe gaps are jittered from the injector's seeded RNG so the probe
+Probe gaps are jittered from the build's seeded RNG so the probe
 processes of many members don't fire in lockstep.
 """
 
@@ -72,19 +72,13 @@ class HealthProber:
     def __init__(self, env: "Environment",
                  members: Iterable["BalancerMember"],
                  config: ProbeConfig | None = None,
-                 rng: "np.random.Generator | None" = None,
+                 *,
+                 rng: "np.random.Generator",
                  name: str = "prober") -> None:
         self.env = env
         self.config = config or ProbeConfig()
         self.name = name
         self.members = list(members)
-        if rng is None:
-            import numpy as np
-            # SEED003 (baselined): seed 0 coincides with the build/fault
-            # fallbacks; ``_wire_resilience`` always threads the build
-            # rng here, so this path only runs in ad-hoc construction,
-            # and reseeding it would perturb probe-jitter golden traces.
-            rng = np.random.default_rng(0)
         self._rng = rng
         self.probes_sent = 0
         self.probes_failed = 0

@@ -8,7 +8,7 @@ once per run:
 :class:`ModuleInfo`
     One parsed file: dotted module name, import map (local alias ->
     dotted target), module-level integer/float/string constants (used
-    to resolve seeds like ``DEFAULT_BUILD_SEED``), and its classes.
+    to resolve seeds like ``DEFAULT_FAULT_SEED``), and its classes.
 
 :class:`FunctionInfo`
     One function or method, addressed by a qualified name
@@ -97,7 +97,7 @@ class ModuleInfo:
     tree: ast.AST
     source: str
     #: local alias -> dotted target ("np" -> "numpy",
-    #: "build_system" -> "repro.cluster.topology.build_system").
+    #: "build_from_spec" -> "repro.cluster.topology.build_from_spec").
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level UPPER_CASE int/float/str constants, resolved.
     constants: dict[str, object] = field(default_factory=dict)
@@ -233,7 +233,7 @@ class CallGraph:
                     return [target]
                 return []
             if receiver is not None:
-                # module-qualified: ``topology.build_system(...)``.
+                # module-qualified: ``topology.build_from_spec(...)``.
                 dotted = module.imports.get(receiver.split(".", 1)[0])
                 if dotted is not None:
                     owner = self._module_by_suffix(dotted)

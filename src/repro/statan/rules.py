@@ -21,7 +21,7 @@ retry-bound    RETRY001 ``while True`` retry loops (pause + ``continue``)
                        with no attempt cap, deadline, break, or raise
 seed-threading SEED001 system/fault builders called without threading the
                        experiment's injected RNG (silent fallback to
-                       ``DEFAULT_BUILD_SEED``)
+                       ``DEFAULT_FAULT_SEED``)
 perf-hot-path  PERF00x direct ``heapq`` use outside the calendar-queue
                        module, and per-event ``Event``/``Timeout``/``Span``
                        construction inside loops in ``sim``/``tracing``
@@ -658,12 +658,12 @@ class UnboundedRetryRule(Rule):
 
 # -- seed threading -------------------------------------------------------
 
-#: Builder callables that accept the experiment's generator, and the
-#: 1-based position of their ``rng`` parameter.  Calling one without it
-#: silently falls back to ``DEFAULT_BUILD_SEED`` / ``DEFAULT_FAULT_SEED``
-#: — deterministic, but decoupled from the experiment's seed.
+#: Builder callables that take the experiment's generator, and the
+#: 1-based position of their ``rng`` parameter.  ``build_from_spec``
+#: requires it; ``FaultInjector`` without it silently falls back to
+#: ``DEFAULT_FAULT_SEED`` — deterministic, but decoupled from the
+#: experiment's seed.
 _SEEDED_BUILDERS = {
-    "build_system": 4,
     "build_from_spec": 4,
     "FaultInjector": 2,
 }
@@ -672,12 +672,12 @@ _SEEDED_BUILDERS = {
 class SeedThreadingRule(Rule):
     """Topology and fault builders must thread the injected RNG.
 
-    ``build_system``/``build_from_spec``/``FaultInjector`` all take the
-    experiment's seeded generator; omitting it falls back to a fixed
-    build seed, which is reproducible but *wrong* — the balancers and
-    fault schedules stop varying with ``config.seed``, so replicate
-    runs silently share randomness.  The fallback exists for ad-hoc
-    notebook use; production call sites must pass ``rng=``.
+    ``build_from_spec``/``FaultInjector`` both take the experiment's
+    seeded generator.  Omitting it is a TypeError for the former; the
+    latter falls back to a fixed seed, which is reproducible but
+    *wrong* — fault schedules stop varying with ``config.seed``, so
+    replicate runs silently share randomness.  The fallback exists for
+    ad-hoc notebook use; production call sites must pass ``rng=``.
     """
 
     id = "seed-threading"
@@ -699,7 +699,7 @@ class SeedThreadingRule(Rule):
         if name is None:
             return
         if name.split(".", 1)[0] in ("self", "cls"):
-            # ``self.build_system(...)`` is a same-named method on this
+            # ``self.build_from_spec(...)`` is a same-named method on this
             # object, not the topology builder — the instance already
             # owns its rng.
             return
@@ -713,9 +713,8 @@ class SeedThreadingRule(Rule):
             if keyword.arg == "rng" or keyword.arg is None:
                 return  # rng= given, or **kwargs may carry it
         ctx.report(node, "SEED001", self.id, Severity.WARNING,
-                   "'{}()' without rng=: falls back to the fixed build "
-                   "seed, decoupling this system from the experiment's "
-                   "seed; thread the injected generator".format(short))
+                   "'{}()' without rng=: not seeded by the experiment's "
+                   "generator; thread the injected generator".format(short))
 
 
 # -- hot-path performance -------------------------------------------------

@@ -1,18 +1,11 @@
 """Tier server models.
 
-The three classic servers — Apache (web), Tomcat (app), MySQL
-(database) — are thin configurations of the generic service models in
-:mod:`repro.tiers.base` (:class:`FrontendTier`, :class:`WorkerTier`,
-:class:`PooledTier`), which declarative topologies instantiate
-directly for arbitrary tier chains.
+Every tier of a declarative topology (:mod:`repro.cluster.spec`) is an
+instance of one generic service model of :mod:`repro.tiers.base`:
+:class:`FrontendTier` (the paper's Apache), :class:`WorkerTier`
+(Tomcat) or :class:`PooledTier` (MySQL).
 """
 
-from repro.tiers.apache import (
-    DEFAULT_ACCESS_LOG_BYTES,
-    DEFAULT_BACKLOG,
-    DEFAULT_MAX_CLIENTS,
-    ApacheServer,
-)
 from repro.tiers.base import (
     PRE_DB_FRACTION,
     DispatchDownstream,
@@ -23,8 +16,6 @@ from repro.tiers.base import (
     TierServer,
     WorkerTier,
 )
-from repro.tiers.mysql import DEFAULT_MAX_CONNECTIONS, MySqlServer
-from repro.tiers.tomcat import DEFAULT_MAX_THREADS, TomcatServer
 
 __all__ = [
     "TierServer",
@@ -33,14 +24,6 @@ __all__ = [
     "PooledTier",
     "InlineDownstream",
     "DispatchDownstream",
-    "ApacheServer",
-    "TomcatServer",
-    "MySqlServer",
     "Dispatcher",
-    "DEFAULT_MAX_CLIENTS",
-    "DEFAULT_BACKLOG",
-    "DEFAULT_ACCESS_LOG_BYTES",
-    "DEFAULT_MAX_THREADS",
-    "DEFAULT_MAX_CONNECTIONS",
     "PRE_DB_FRACTION",
 ]

@@ -1,9 +1,8 @@
 """Shared behaviour and the generalized tier service models.
 
-A tier server used to come in exactly three bespoke flavours — Apache,
-Tomcat, MySQL.  This module factors those into *service models* any
-tier of a declarative topology (:mod:`repro.cluster.spec`) can be
-configured with:
+The paper's three servers — Apache, Tomcat, MySQL — are three
+*service models* any tier of a declarative topology
+(:mod:`repro.cluster.spec`) can be configured with:
 
 * :class:`FrontendTier` — accept socket + worker pool, dispatches
   downstream through an attached :class:`Dispatcher` (the Apache
@@ -25,9 +24,9 @@ The downstream call pattern is itself composable:
   a mid-chain tier both receive balanced traffic and balance over the
   next tier — balancer-per-boundary.
 
-``ApacheServer``/``TomcatServer``/``MySqlServer`` remain as thin
-configurations of these models, so all classic topologies (and their
-golden event traces) are unchanged.
+Each model's ``role`` and ``cpu_source`` default to the paper's tier
+(``"apache"``, ``"tomcat"``, ``"mysql"``), so the classic topology is
+these models with their defaults.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Unit tests for configuration, topology, scenarios, and the CLI."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -9,7 +10,8 @@ from repro.cluster import (
     ScaleProfile,
     Scenario,
     SoftwareStack,
-    build_system,
+    TopologySpec,
+    build_from_spec,
 )
 from repro.cluster.scenarios import (
     baseline_no_millibottleneck,
@@ -64,9 +66,12 @@ class TestScaleProfile:
         assert profile.tomcat_count == 4
 
     def test_flush_profiles_staggered(self):
-        profile = ScaleProfile()
-        phases = [profile.tomcat_flush_profile(i).phase for i in range(4)]
-        assert phases == [0.0, 1.0, 2.0, 3.0]
+        tiers = TopologySpec.classic(
+            ScaleProfile(), apache_millibottlenecks=True).tiers
+        tomcat = [tiers[1].flush.profile(i).phase for i in range(4)]
+        apache = [tiers[0].flush.profile(i).phase for i in range(4)]
+        assert tomcat == [0.0, 1.0, 2.0, 3.0]
+        assert apache == [0.5, 1.5, 2.5, 3.5]
 
     def test_scaled_factor(self):
         profile = ScaleProfile().scaled(0.5)
@@ -84,13 +89,20 @@ class TestScaleProfile:
             ScaleProfile(think_time=0)
 
 
+def build_classic(profile=None, bundle_key="current_load", **classic):
+    """Build the classic spec of ``profile`` with a seeded generator."""
+    profile = profile or ScaleProfile()
+    return build_from_spec(
+        Environment(), TopologySpec.classic(profile, **classic), profile,
+        rng=np.random.default_rng(0),
+        default_bundle=get_bundle(bundle_key) if bundle_key else None)
+
+
 class TestBuildSystem:
     def test_builds_fig14_topology(self):
-        env = Environment()
-        system = build_system(env, ScaleProfile(),
-                              bundle=get_bundle("current_load"))
-        assert len(system.apaches) == 4
-        assert len(system.tomcats) == 4
+        system = build_classic()
+        assert len(system.frontends) == 4
+        assert len(system.tiers["tomcat"]) == 4
         assert len(system.balancers) == 4
         assert len(system.hosts) == 9
         assert {server.name for server in system.servers} == {
@@ -98,44 +110,36 @@ class TestBuildSystem:
             "tomcat1", "tomcat2", "tomcat3", "tomcat4", "mysql1"}
 
     def test_balancers_are_independent(self):
-        env = Environment()
-        system = build_system(env, ScaleProfile(),
-                              bundle=get_bundle("current_load"))
+        system = build_classic()
         policies = {id(balancer.policy) for balancer in system.balancers}
         assert len(policies) == 4  # one policy instance per Apache
 
     def test_flush_daemons_follow_flags(self):
-        env = Environment()
-        system = build_system(env, ScaleProfile(),
-                              bundle=get_bundle("current_load"),
-                              tomcat_millibottlenecks=False)
-        assert all(not t.host.flush_profile.enabled for t in system.tomcats)
-        system2 = build_system(Environment(), ScaleProfile(),
-                               bundle=get_bundle("current_load"),
-                               tomcat_millibottlenecks=True)
-        assert all(t.host.flush_profile.enabled for t in system2.tomcats)
+        system = build_classic(tomcat_millibottlenecks=False)
+        assert all(not t.host.flush_profile.enabled
+                   for t in system.tiers["tomcat"])
+        system2 = build_classic(tomcat_millibottlenecks=True)
+        assert all(t.host.flush_profile.enabled
+                   for t in system2.tiers["tomcat"])
 
     def test_no_balancer_round_robins_all_replicas(self):
-        system = build_system(Environment(), ScaleProfile(),
-                              use_balancer=False)
+        system = build_classic(bundle_key=None, use_balancer=False)
         assert len(system.direct_dispatchers) == 4
         assert not system.balancers
         for dispatcher in system.direct_dispatchers:
             assert [backend.name for backend in dispatcher.backends] == [
                 "tomcat1", "tomcat2", "tomcat3", "tomcat4"]
-        system2 = build_system(Environment(), ScaleProfile.single_node(),
-                               use_balancer=False)
+        system2 = build_classic(ScaleProfile.single_node(), bundle_key=None,
+                                use_balancer=False)
         assert system2.direct_dispatchers
         assert not system2.balancers
 
     def test_requires_bundle_or_factories(self):
-        env = Environment()
         with pytest.raises(ConfigurationError):
-            build_system(env, ScaleProfile())
+            build_classic(bundle_key=None)
 
     def test_server_named(self):
-        system = build_system(Environment(), ScaleProfile(),
-                              bundle=get_bundle("current_load"))
+        system = build_classic()
         assert system.server_named("mysql1").name == "mysql1"
         with pytest.raises(ConfigurationError):
             system.server_named("nope")
@@ -162,12 +166,14 @@ class TestScenarios:
     def test_baseline_disables_millibottlenecks(self):
         config = baseline_no_millibottleneck()
         assert not config.tomcat_millibottlenecks
-        assert not config.apache_millibottlenecks
+        assert config.topology is None  # classic: no Apache flushing
 
     def test_single_node_uses_direct_dispatch(self):
         config = single_node_millibottleneck()
-        assert not config.use_balancer
-        assert config.apache_millibottlenecks
+        apache, tomcat, _ = config.topology.tiers
+        assert config.topology.boundaries[0].mode == "direct"
+        assert apache.flush is not None and tomcat.flush is not None
+        assert apache.replicas == tomcat.replicas == 1
         assert config.profile.apache_count == 1
 
     def test_policy_run_traces(self):
@@ -181,6 +187,15 @@ class TestScenarios:
             ExperimentConfig(duration=0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(sample_window=0)
+
+    def test_flush_flag_with_topology_rejected(self):
+        """A topology's FlushSpecs decide its flushing, so the classic
+        flag must not be silently ignored next to one."""
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(topology=TopologySpec.classic(),
+                             tomcat_millibottlenecks=False)
+        ExperimentConfig(topology=TopologySpec.classic(
+            tomcat_millibottlenecks=False))
 
 
 class TestCli:
@@ -203,12 +218,9 @@ class TestPaperScaleProfile:
     def test_paper_profile_builds_a_full_system(self):
         """The full-scale Table III profile wires up (running it is for
         the patient, but construction must be cheap and correct)."""
-        from repro.sim import Environment
-
-        env = Environment()
-        system = build_system(Environment(), ScaleProfile.paper(),
-                              bundle=get_bundle("original_total_request"))
-        assert system.apaches[0].max_clients == 200
-        assert system.tomcats[0].max_threads == 210
-        assert system.mysql.connections.capacity == 48
+        system = build_classic(ScaleProfile.paper(),
+                               bundle_key="original_total_request")
+        assert system.frontends[0].max_clients == 200
+        assert system.tiers["tomcat"][0].max_threads == 210
+        assert system.tiers["mysql"][0].connections.capacity == 48
         assert system.balancers[0].members[0].pool.capacity == 25

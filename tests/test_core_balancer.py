@@ -19,17 +19,19 @@ from repro.core import (
 from repro.errors import ConfigurationError, NoCandidateError
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import MySqlServer, TomcatServer
+from repro.tiers import InlineDownstream, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
 def make_backends(env, count=4, threads=4):
-    mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
+    mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                       max_connections=48)
     backends = []
     for i in range(count):
         name = "tomcat{}".format(i + 1)
-        backends.append(TomcatServer(env, name, Host(env, name), mysql,
-                                     max_threads=threads))
+        backends.append(WorkerTier(env, name, Host(env, name),
+                                   max_threads=threads,
+                                   downstream=InlineDownstream(mysql)))
     return backends
 
 

@@ -14,13 +14,14 @@ from repro.core.member import BalancerMember
 from repro.errors import ConfigurationError
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import MySqlServer, TomcatServer
+from repro.tiers import InlineDownstream, PooledTier, WorkerTier
 
 
 def make_member(env, pool_size=2, preconnect=True):
-    mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
-    tomcat = TomcatServer(env, "tomcat1", Host(env, "tomcat1"), mysql,
-                          max_threads=2)
+    mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                       max_connections=48)
+    tomcat = WorkerTier(env, "tomcat1", Host(env, "tomcat1"), max_threads=2,
+                        downstream=InlineDownstream(mysql))
     return BalancerMember(env, tomcat, 0, pool_size=pool_size,
                           preconnect=preconnect), tomcat
 

@@ -7,16 +7,18 @@ from repro.core import BalancerMember, MemberState, StateConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.osmodel import Host, MillibottleneckProfile
 from repro.sim import Environment
-from repro.tiers import MySqlServer, TomcatServer
+from repro.tiers import InlineDownstream, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
 def make_member(env, pool_size=3, preconnect=True, state_config=None,
                 flush=None):
-    mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
+    mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                       max_connections=48)
     tomcat_host = Host(env, "tomcat1", flush_profile=flush,
                        disk_bandwidth=10e6)
-    tomcat = TomcatServer(env, "tomcat1", tomcat_host, mysql, max_threads=4)
+    tomcat = WorkerTier(env, "tomcat1", tomcat_host, max_threads=4,
+                        downstream=InlineDownstream(mysql))
     member = BalancerMember(env, tomcat, index=0, pool_size=pool_size,
                             preconnect=preconnect,
                             state_config=state_config)
@@ -204,8 +206,10 @@ class TestLbValueTrace:
 
     def test_tracing_can_be_disabled(self):
         env = Environment()
-        mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
-        tomcat = TomcatServer(env, "t", Host(env, "t"), mysql, max_threads=2)
+        mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                           max_connections=48)
+        tomcat = WorkerTier(env, "t", Host(env, "t"), max_threads=2,
+                            downstream=InlineDownstream(mysql))
         member = BalancerMember(env, tomcat, 0, trace_lb_values=False)
         member.lb_value = 5.0
         assert member.lb_trace is None

@@ -24,19 +24,20 @@ from repro.core.member import BalancerMember
 from repro.errors import ConfigurationError
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import MySqlServer, TomcatServer
+from repro.tiers import InlineDownstream, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
 @pytest.fixture
 def members():
     env = Environment()
-    mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
+    mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                       max_connections=48)
     out = []
     for i in range(4):
         name = "tomcat{}".format(i + 1)
-        tomcat = TomcatServer(env, name, Host(env, name), mysql,
-                              max_threads=2)
+        tomcat = WorkerTier(env, name, Host(env, name), max_threads=2,
+                            downstream=InlineDownstream(mysql))
         out.append(BalancerMember(env, tomcat, index=i))
     return out
 

@@ -25,18 +25,19 @@ from repro.metrics.stats import ResponseTimeStats
 from repro.netmodel import RetransmissionPolicy
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import MySqlServer, TomcatServer
+from repro.tiers import InlineDownstream, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
 def build_members(count=4):
     env = Environment()
-    mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
+    mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                       max_connections=48)
     members = []
     for i in range(count):
         name = "tomcat{}".format(i + 1)
-        tomcat = TomcatServer(env, name, Host(env, name), mysql,
-                              max_threads=2)
+        tomcat = WorkerTier(env, name, Host(env, name), max_threads=2,
+                            downstream=InlineDownstream(mysql))
         members.append(BalancerMember(env, tomcat, index=i,
                                       trace_lb_values=False))
     return env, members

@@ -12,7 +12,8 @@ from repro.cluster import (
     RecurringFault,
     ScaleProfile,
     SlowFault,
-    build_system,
+    TopologySpec,
+    build_from_spec,
 )
 from repro.core import MemberState, StateConfig, get_bundle
 from repro.core.balancer import BalancerConfig
@@ -93,10 +94,10 @@ class TestGcAndDvfsSources:
 class TestFaultInjector:
     def make_system(self, env, error_recovery=2.0):
         profile = ScaleProfile.smoke()
-        system = build_system(
-            env, profile, bundle=get_bundle("current_load_modified"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=False,
+        system = build_from_spec(
+            env, TopologySpec.classic(profile, tomcat_millibottlenecks=False),
+            profile, rng=np.random.default_rng(0),
+            default_bundle=get_bundle("current_load_modified"),
             balancer_config=BalancerConfig(
                 pool_size=profile.connection_pool_size,
                 trace_lb_values=False, trace_dispatches=True),
@@ -105,7 +106,7 @@ class TestFaultInjector:
                                      error_recovery=error_recovery),
         )
         population = ClientPopulation(
-            env, [a.socket for a in system.apaches],
+            env, [a.socket for a in system.frontends],
             total_clients=profile.clients, mix=read_write_mix(),
             rng=np.random.default_rng(0), think_time=profile.think_time,
             retransmission=RetransmissionPolicy())
@@ -115,7 +116,7 @@ class TestFaultInjector:
         env = Environment()
         system, population = self.make_system(env)
         injector = FaultInjector(env)
-        injector.crash_at(system.tomcats[0], at=3.0)
+        injector.crash_at(system.tiers["tomcat"][0], at=3.0)
         env.run(until=8.0)
         # Every balancer eventually ejects the dead member...
         for balancer in system.balancers:
@@ -132,7 +133,7 @@ class TestFaultInjector:
         env = Environment()
         system, population = self.make_system(env, error_recovery=1.0)
         injector = FaultInjector(env)
-        injector.crash_at(system.tomcats[0], at=2.0, duration=2.0)
+        injector.crash_at(system.tiers["tomcat"][0], at=2.0, duration=2.0)
         env.run(until=10.0)
         record = injector.records[0]
         assert record.recovered_at == pytest.approx(4.0)
@@ -146,19 +147,19 @@ class TestFaultInjector:
         first probe, but only the crash should reach Error."""
         env = Environment()
         profile = ScaleProfile.smoke()
-        system = build_system(
-            env, profile, bundle=get_bundle("current_load_modified"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=True,  # flushing on
+        system = build_from_spec(
+            env, TopologySpec.classic(profile),  # flushing on
+            profile, rng=np.random.default_rng(0),
+            default_bundle=get_bundle("current_load_modified"),
             state_config=StateConfig(busy_recheck=0.05,
                                      max_busy_retries=4,
                                      error_recovery=60.0),
         )
         population = ClientPopulation(
-            env, [a.socket for a in system.apaches],
+            env, [a.socket for a in system.frontends],
             total_clients=profile.clients, mix=read_write_mix(),
             rng=np.random.default_rng(0), think_time=profile.think_time)
-        FaultInjector(env).crash_at(system.tomcats[1], at=3.0)
+        FaultInjector(env).crash_at(system.tiers["tomcat"][1], at=3.0)
         env.run(until=10.0)
         assert len(system.millibottleneck_records()) > 0
         for balancer in system.balancers:
@@ -171,8 +172,8 @@ class TestFaultInjector:
         env = Environment(initial_time=5.0)
         injector = FaultInjector(env)
         host = Host(env, "h")
-        from repro.tiers import MySqlServer
-        server = MySqlServer(env, "m", host)
+        from repro.tiers import PooledTier
+        server = PooledTier(env, "m", host, max_connections=48)
         with pytest.raises(ConfigurationError):
             injector.crash_at(server, at=1.0)
         with pytest.raises(ConfigurationError):
@@ -181,8 +182,8 @@ class TestFaultInjector:
     def test_crash_recover_flags(self):
         env = Environment()
         host = Host(env, "h")
-        from repro.tiers import MySqlServer
-        server = MySqlServer(env, "m", host)
+        from repro.tiers import PooledTier
+        server = PooledTier(env, "m", host, max_connections=48)
         assert not server.crashed
         assert server.responsive
         server.crash()
@@ -194,8 +195,8 @@ class TestFaultInjector:
 
 class TestFaultZoo:
     def make_server(self, env):
-        from repro.tiers import MySqlServer
-        return MySqlServer(env, "m", Host(env, "h"))
+        from repro.tiers import PooledTier
+        return PooledTier(env, "m", Host(env, "h"), max_connections=48)
 
     def test_crash_record_appended_at_crash_time(self):
         env = Environment()
@@ -261,10 +262,10 @@ class TestFaultZoo:
 
     def make_full_system(self, env):
         profile = ScaleProfile.smoke()
-        return build_system(
-            env, profile, bundle=get_bundle("current_load_modified"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=False)
+        return build_from_spec(
+            env, TopologySpec.classic(profile, tomcat_millibottlenecks=False),
+            profile, rng=np.random.default_rng(0),
+            default_bundle=get_bundle("current_load_modified"))
 
     def test_packet_loss_window_installs_and_removes_impairment(self):
         env = Environment()
@@ -273,14 +274,14 @@ class TestFaultZoo:
         injector.inject(PacketLossFault(at=1.0, duration=2.0, loss=0.5),
                         system)
         env.run(until=2.0)
-        for apache in system.apaches:
+        for apache in system.frontends:
             assert apache.socket.impairment is not None
             assert apache.socket.impairment.loss == 0.5
         env.run(until=4.0)
-        for apache in system.apaches:
+        for apache in system.frontends:
             assert apache.socket.impairment is None
         # One record per impaired socket, window recorded.
-        assert len(injector.net_records) == len(system.apaches)
+        assert len(injector.net_records) == len(system.frontends)
         assert all(r.kind == "loss" and r.ended_at == pytest.approx(3.0)
                    for r in injector.net_records)
 
@@ -291,7 +292,7 @@ class TestFaultZoo:
         injector.inject(PacketLossFault(at=1.0, duration=1.0,
                                         apache="apache1"), system)
         env.run(until=1.5)
-        impaired = [a.name for a in system.apaches
+        impaired = [a.name for a in system.frontends
                     if a.socket.impairment is not None]
         assert impaired == ["apache1"]
         with pytest.raises(ConfigurationError):

@@ -219,7 +219,7 @@ class TestFig12and13PolicyRemedy:
 
     def test_tomcat_tier_queues_small(self, current_load):
         """Fig. 12/13(a): no huge spike in the Tomcat tier."""
-        for tomcat in current_load.system.tomcats:
+        for tomcat in current_load.system.tiers["tomcat"]:
             assert current_load.queue_series[tomcat.name].max() < 40
 
     def test_requests_rerouted_to_healthy(self, current_load):

@@ -34,7 +34,8 @@ from repro.cluster.scenarios import (
     ZONE_FAULT_KEYS,
     fault_specs,
 )
-from repro.cluster.topology import build_system
+from repro.cluster.spec import TopologySpec
+from repro.cluster.topology import build_from_spec
 from repro.controlplane import CONTROLPLANE_BUNDLES
 from repro.core.remedies import BUNDLES, get_bundle
 from repro.netmodel.tcp import GaveUp, TcpSender
@@ -61,19 +62,19 @@ def run_experiment(**overrides):
 
 def assert_packet_conservation(result):
     population, system = result.population, result.system
-    accepted = sum(apache.socket.accepted for apache in system.apaches)
+    accepted = sum(apache.socket.accepted for apache in system.frontends)
     sent = population.sender.packets_sent
     dropped = population.sender.packets_dropped
     assert sent == accepted + dropped, (
         "packets leaked: sent {} != accepted {} + dropped {}".format(
             sent, accepted, dropped))
-    socket_drops = sum(apache.socket.dropped for apache in system.apaches)
+    socket_drops = sum(apache.socket.dropped for apache in system.frontends)
     # Network-loss faults drop packets the sockets never see.
     assert dropped >= socket_drops
 
 
 def assert_web_tier_conservation(result):
-    for apache in result.system.apaches:
+    for apache in result.system.frontends:
         accepted = apache.socket.accepted
         # Shed responses (admission / bulkhead / leveling overflow) are
         # fast completions the control plane answered; leveled requests
@@ -111,9 +112,10 @@ def assert_balancer_accounting(result):
                 "{}: dispatched {} != completed {} + inflight {}".format(
                     member.name, member.dispatched, member.completed,
                     member.inflight))
-    for tomcat in result.system.tomcats:
-        assert tomcat.busy_threads >= 0
-        assert tomcat.queue_length >= 0
+    system = result.system
+    for worker in system.tiers[system.tier_names[1]]:
+        assert worker.busy_threads >= 0
+        assert worker.queue_length >= 0
 
 
 def assert_all_invariants(result):
@@ -192,12 +194,11 @@ def test_invariants_hold_continuously_under_millibottlenecks():
 
     env = Environment()
     rng = np.random.default_rng(99)
-    system = build_system(
-        env, PROFILE, bundle=get_bundle("original_total_request"),
-        rng=rng, tomcat_millibottlenecks=True,
-        apache_millibottlenecks=False)
+    system = build_from_spec(
+        env, TopologySpec.classic(PROFILE), PROFILE, rng=rng,
+        default_bundle=get_bundle("original_total_request"))
     population = ClientPopulation(
-        env, sockets=[apache.socket for apache in system.apaches],
+        env, sockets=[apache.socket for apache in system.frontends],
         total_clients=PROFILE.clients, mix=browsing_only_mix(), rng=rng,
         think_time=PROFILE.think_time,
         retransmission=RetransmissionPolicy(),
@@ -220,7 +221,7 @@ def test_invariants_hold_continuously_under_millibottlenecks():
                 if server.in_server < 0:
                     violations.append((env.now, server.name,
                                        "in_server", server.in_server))
-            for apache in system.apaches:
+            for apache in system.frontends:
                 sent = population.sender.packets_sent
                 if sent < apache.socket.accepted:
                     violations.append((env.now, apache.name, "packets",
@@ -230,10 +231,10 @@ def test_invariants_hold_continuously_under_millibottlenecks():
     env.run(until=DURATION)
     assert violations == []
     # The horizon identities hold on the hand-built system too.
-    accepted = sum(apache.socket.accepted for apache in system.apaches)
+    accepted = sum(apache.socket.accepted for apache in system.frontends)
     assert population.sender.packets_sent == (
         accepted + population.sender.packets_dropped)
-    for apache in system.apaches:
+    for apache in system.frontends:
         assert apache.socket.accepted == (
             apache.requests_completed + apache.error_responses
             + apache.in_server)
@@ -245,10 +246,10 @@ def test_drain_returns_every_counter_to_zero():
     the conservation identities close exactly."""
     env = Environment()
     rng = np.random.default_rng(5)
-    system = build_system(
-        env, PROFILE, bundle=get_bundle("current_load_modified"),
-        rng=rng, tomcat_millibottlenecks=False,
-        apache_millibottlenecks=False)
+    system = build_from_spec(
+        env, TopologySpec.classic(PROFILE, tomcat_millibottlenecks=False),
+        PROFILE, rng=rng,
+        default_bundle=get_bundle("current_load_modified"))
     sender = TcpSender(env)
     mix = browsing_only_mix()
     outcomes = {"completed": 0, "abandoned": 0, "issued": 0}
@@ -269,25 +270,25 @@ def test_drain_returns_every_counter_to_zero():
             yield env.timeout(float(rng.exponential(0.02)))
 
     for client_id in range(12):
-        socket = system.apaches[client_id % len(system.apaches)].socket
+        socket = system.frontends[client_id % len(system.frontends)].socket
         env.process(finite_client(client_id, socket, requests=8))
     env.run()  # no horizon: run to natural quiescence
 
     assert outcomes["issued"] == 12 * 8
     assert outcomes["completed"] + outcomes["abandoned"] == 12 * 8
     # Packet conservation, exact.
-    accepted = sum(apache.socket.accepted for apache in system.apaches)
+    accepted = sum(apache.socket.accepted for apache in system.frontends)
     assert sender.packets_sent == accepted + sender.packets_dropped
     # Every tier drained.
-    for apache in system.apaches:
+    for apache in system.frontends:
         assert apache.busy_workers == 0, apache.name
         assert apache.queue_length == 0, apache.name
         assert (apache.socket.accepted
                 == apache.requests_completed + apache.error_responses)
-    for tomcat in system.tomcats:
+    for tomcat in system.tiers["tomcat"]:
         assert tomcat.busy_threads == 0, tomcat.name
         assert tomcat.queue_length == 0, tomcat.name
-    assert system.mysql.in_server == 0
+    assert system.tiers["mysql"][0].in_server == 0
     # Every balancer member returned to zero in-flight with exact
     # dispatch accounting.
     for balancer in system.balancers:

@@ -24,7 +24,7 @@ from repro.core.member import BalancerMember
 from repro.core.policies import POLICIES, PrequalPolicy, make_policy
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import MySqlServer, TomcatServer
+from repro.tiers import InlineDownstream, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 POLICY_ITEMS = sorted(POLICIES.items())
@@ -33,23 +33,26 @@ POLICY_IDS = [name for name, _ in POLICY_ITEMS]
 
 def build_members(count=4, threads=2):
     env = Environment()
-    mysql = MySqlServer(env, "mysql1", Host(env, "mysql1"))
+    mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
+                       max_connections=48)
     members = []
     for i in range(count):
         name = "tomcat{}".format(i + 1)
-        tomcat = TomcatServer(env, name, Host(env, name), mysql,
-                              max_threads=threads)
+        tomcat = WorkerTier(env, name, Host(env, name),
+                            max_threads=threads,
+                            downstream=InlineDownstream(mysql))
         members.append(BalancerMember(env, tomcat, index=i,
                                       trace_lb_values=False))
     return env, members
 
 
 def build_balancer(env, policy, count=3):
-    mysql = MySqlServer(env, "bal-mysql", Host(env, "bal-mysql"))
+    mysql = PooledTier(env, "bal-mysql", Host(env, "bal-mysql"),
+                       max_connections=48)
     backends = [
-        TomcatServer(env, "bal-tomcat{}".format(i + 1),
-                     Host(env, "bal-tomcat{}".format(i + 1)), mysql,
-                     max_threads=2)
+        WorkerTier(env, "bal-tomcat{}".format(i + 1),
+                   Host(env, "bal-tomcat{}".format(i + 1)), max_threads=2,
+                   downstream=InlineDownstream(mysql))
         for i in range(count)
     ]
     return LoadBalancer(env, "conformance.lb", backends, policy=policy,

@@ -1,14 +1,19 @@
 """Tests for the remedy layer: retry, hedging, breakers, probes.
 
 Unit tests pin each remedy's state machine; the integration tests wire
-them through :func:`build_system` / :class:`ExperimentRunner` and check
+them through :func:`build_from_spec` / :class:`ExperimentRunner` and check
 they actually change outcomes under injected faults.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import ScaleProfile, SlowFault, build_system
+from repro.cluster import (
+    ScaleProfile,
+    SlowFault,
+    TopologySpec,
+    build_from_spec,
+)
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
 from repro.core import MemberState, get_bundle
 from repro.errors import ConfigurationError
@@ -281,21 +286,25 @@ class TestProbeConfig:
             ProbeConfig(jitter=-0.1)
 
 
+def build_smoke(env, bundle_key, resilience=None):
+    """The smoke-scale classic system, flushing off."""
+    profile = ScaleProfile.smoke()
+    return build_from_spec(
+        env, TopologySpec.classic(profile, tomcat_millibottlenecks=False),
+        profile, rng=np.random.default_rng(0),
+        default_bundle=get_bundle(bundle_key), resilience=resilience)
+
+
 class TestHealthProberIntegration:
     def build(self, env, resilience):
-        return build_system(
-            env, ScaleProfile.smoke(),
-            bundle=get_bundle("current_load_modified"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=False,
-            resilience=resilience)
+        return build_smoke(env, "current_load_modified", resilience)
 
     def test_probes_eject_crashed_member_without_traffic(self):
         env = Environment()
         system = self.build(env, ResilienceConfig(probes=ProbeConfig(
             interval=0.2, timeout=0.1, fail_threshold=3)))
         assert len(system.probers) == len(system.balancers)
-        system.tomcats[0].crash()
+        system.tiers["tomcat"][0].crash()
         env.run(until=2.0)
         # No client traffic at all: probes alone marked it Error.
         for balancer in system.balancers:
@@ -306,11 +315,11 @@ class TestHealthProberIntegration:
         env = Environment()
         system = self.build(env, ResilienceConfig(probes=ProbeConfig(
             interval=0.2, timeout=0.1, fail_threshold=2)))
-        system.tomcats[0].crash()
+        system.tiers["tomcat"][0].crash()
         env.run(until=2.0)
         for balancer in system.balancers:
             assert balancer.members[0].state is MemberState.ERROR
-        system.tomcats[0].recover()
+        system.tiers["tomcat"][0].recover()
         # Default error_recovery is 10 s; the next successful probe
         # restores the member long before that.
         env.run(until=3.0)
@@ -324,7 +333,7 @@ class TestHealthProberIntegration:
             breaker=BreakerConfig(failure_threshold=2),
             probes=ProbeConfig(interval=0.2, timeout=0.1,
                                fail_threshold=100)))
-        system.tomcats[0].crash()
+        system.tiers["tomcat"][0].crash()
         env.run(until=2.0)
         for balancer in system.balancers:
             breaker = balancer.members[0].breaker
@@ -344,15 +353,11 @@ class TestWiring:
 
     def test_full_wiring_installs_every_remedy(self):
         env = Environment()
-        system = build_system(
-            env, ScaleProfile.smoke(),
-            bundle=get_bundle("original_total_request"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=False,
-            resilience=get_resilience("full"))
+        system = build_smoke(env, "original_total_request",
+                             get_resilience("full"))
         assert len(system.hedgers) == len(system.balancers)
         assert len(system.probers) == len(system.balancers)
-        for apache, hedger in zip(system.apaches, system.hedgers):
+        for apache, hedger in zip(system.frontends, system.hedgers):
             assert apache.dispatcher is hedger
         for balancer in system.balancers:
             assert balancer.mechanism.name.endswith("+breaker")
@@ -360,24 +365,16 @@ class TestWiring:
 
     def test_no_resilience_leaves_system_untouched(self):
         env = Environment()
-        system = build_system(
-            env, ScaleProfile.smoke(),
-            bundle=get_bundle("original_total_request"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=False,
-            resilience=None)
+        system = build_smoke(env, "original_total_request",
+                             resilience=None)
         assert system.hedgers == [] and system.probers == []
-        for apache, balancer in zip(system.apaches, system.balancers):
+        for apache, balancer in zip(system.frontends, system.balancers):
             assert apache.dispatcher is balancer
             assert all(m.breaker is None for m in balancer.members)
 
     def test_breaker_count_must_match_members(self):
         env = Environment()
-        system = build_system(
-            env, ScaleProfile.smoke(),
-            bundle=get_bundle("original_total_request"),
-            rng=np.random.default_rng(0),
-            tomcat_millibottlenecks=False)
+        system = build_smoke(env, "original_total_request")
         with pytest.raises(ConfigurationError):
             system.balancers[0].install_breakers([CircuitBreaker(env)])
 

@@ -355,8 +355,8 @@ class TestUnboundedRetryRule:
 class TestSeedThreadingRule:
     def test_builder_without_rng_fires(self):
         assert "SEED001" in codes("""
-            def make(env, profile, bundle):
-                return build_system(env, profile, bundle=bundle)
+            def make(env, spec, bundle):
+                return build_from_spec(env, spec, default_bundle=bundle)
         """)
 
     def test_spec_builder_without_rng_fires(self):
@@ -367,8 +367,9 @@ class TestSeedThreadingRule:
 
     def test_rng_keyword_is_clean(self):
         assert codes("""
-            def make(env, profile, bundle, rng):
-                return build_system(env, profile, bundle=bundle, rng=rng)
+            def make(env, spec, bundle, rng):
+                return build_from_spec(env, spec, default_bundle=bundle,
+                                       rng=rng)
         """) == []
 
     def test_rng_positional_is_clean(self):
@@ -396,12 +397,12 @@ class TestSeedThreadingRule:
         """) == []
 
     def test_self_method_with_builder_name_is_clean(self):
-        # ``self.build_system`` is a same-named method on this class,
-        # not the module-level builder with the rng fallback.
+        # ``self.build_from_spec`` is a same-named method on this class,
+        # not the module-level builder.
         assert codes("""
             class Harness:
-                def make(self, env, profile):
-                    return self.build_system(env, profile)
+                def make(self, env, spec):
+                    return self.build_from_spec(env, spec)
         """) == []
 
     def test_cls_method_with_builder_name_is_clean(self):
@@ -414,8 +415,8 @@ class TestSeedThreadingRule:
 
     def test_module_qualified_builder_still_fires(self):
         assert "SEED001" in codes("""
-            def make(env, profile):
-                return topology.build_system(env, profile)
+            def make(env, spec):
+                return topology.build_from_spec(env, spec)
         """)
 
 

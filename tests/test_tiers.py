@@ -7,19 +7,20 @@ from repro.core.balancer import DirectDispatcher
 from repro.errors import ConfigurationError
 from repro.osmodel import Host, MillibottleneckProfile
 from repro.sim import Environment, Event
-from repro.tiers import ApacheServer, MySqlServer, TomcatServer
+from repro.tiers import FrontendTier, InlineDownstream, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
 def make_stack(env, tomcat_threads=4, mysql_connections=8,
                tomcat_flush=None):
     mysql_host = Host(env, "mysql1")
-    mysql = MySqlServer(env, "mysql1", mysql_host,
-                        max_connections=mysql_connections)
+    mysql = PooledTier(env, "mysql1", mysql_host,
+                       max_connections=mysql_connections)
     tomcat_host = Host(env, "tomcat1", flush_profile=tomcat_flush,
                        disk_bandwidth=10e6)
-    tomcat = TomcatServer(env, "tomcat1", tomcat_host, mysql,
-                          max_threads=tomcat_threads)
+    tomcat = WorkerTier(env, "tomcat1", tomcat_host,
+                        max_threads=tomcat_threads,
+                        downstream=InlineDownstream(mysql))
     return mysql, tomcat
 
 
@@ -97,7 +98,7 @@ class TestMySqlServer:
         env = Environment()
         host = Host(env, "m")
         with pytest.raises(ConfigurationError):
-            MySqlServer(env, "m", host, max_connections=0)
+            PooledTier(env, "m", host, max_connections=0)
 
 
 class TestTomcatServer:
@@ -156,13 +157,14 @@ class TestTomcatServer:
         mysql, _ = make_stack(env)
         host = Host(env, "t")
         with pytest.raises(ConfigurationError):
-            TomcatServer(env, "t", host, mysql, max_threads=0)
+            WorkerTier(env, "t", host, max_threads=0,
+                       downstream=InlineDownstream(mysql))
 
 
 class TestApacheServer:
     def make_apache(self, env, tomcat, max_clients=4, backlog=8):
         host = Host(env, "apache1")
-        apache = ApacheServer(env, "apache1", host,
+        apache = FrontendTier(env, "apache1", host,
                               max_clients=max_clients, backlog=backlog)
         apache.attach_dispatcher(DirectDispatcher(env, tomcat))
         return apache
@@ -225,4 +227,4 @@ class TestApacheServer:
         env = Environment()
         host = Host(env, "a")
         with pytest.raises(ConfigurationError):
-            ApacheServer(env, "a", host, max_clients=0)
+            FrontendTier(env, "a", host, max_clients=0, backlog=8)

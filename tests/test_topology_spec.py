@@ -2,11 +2,10 @@
 
 Three layers of protection for the spec-driven builder:
 
-* **golden equivalence** — :meth:`TopologySpec.classic` built through
-  :func:`build_from_spec` reproduces the committed full-stack golden
-  trace (seed 99) *and* matches the hand-coded ``build_system`` path
-  event-for-event at the paper seed, so "the classic topology is now
-  data" costs nothing in determinism;
+* **golden equivalence** — :meth:`TopologySpec.classic` given as a
+  config's ``topology`` reproduces the committed full-stack golden
+  trace (seed 99) *and* matches the config without one (which builds
+  the classic spec itself) event-for-event at the paper seed;
 * **eager validation** — malformed specs (zero replicas, unknown policy
   bundles, empty tier lists, mis-ordered service models, inline
   fan-out) fail at construction with ``ConfigurationError``\\ s that
@@ -35,7 +34,7 @@ from repro.cluster.spec import (
     WorkloadSpec,
     get_topology,
 )
-from repro.cluster.topology import build_from_spec, build_system
+from repro.cluster.topology import build_from_spec
 from repro.core.remedies import get_bundle
 from repro.errors import ConfigurationError
 from repro.sim.core import Environment
@@ -82,15 +81,16 @@ class TestClassicEquivalence:
         assert trace_hash(records) == SCENARIO_SHA256
 
     def test_spec_path_matches_classic_path_event_for_event(self):
-        """Same seed, both builders: identical full event schedules."""
+        """A config without a topology builds the classic spec of its
+        profile: identical full event schedules at the same seed."""
         profile = ScaleProfile.smoke()
         base = dict(bundle_key="current_load", profile=profile,
                     duration=4.0, seed=20170601,
                     trace_lb_values=False, trace_dispatches=False)
-        hand_coded = traced_run(ExperimentConfig(**base))
+        default = traced_run(ExperimentConfig(**base))
         from_spec = traced_run(ExperimentConfig(
             topology=TopologySpec.classic(profile), **base))
-        assert hand_coded == from_spec
+        assert default == from_spec
 
     def test_spec_builder_wires_the_fig14_topology(self):
         env = Environment()
@@ -101,30 +101,9 @@ class TestClassicEquivalence:
         assert system.tier_names == ("apache", "tomcat", "mysql")
         assert [s.name for s in system.tiers["apache"]] == [
             "apache1", "apache2", "apache3", "apache4"]
-        assert system.apaches == system.tiers["apache"]
-        assert system.tomcats == system.tiers["tomcat"]
-        assert system.mysql is system.tiers["mysql"][0]
+        assert system.frontends == system.tiers["apache"]
         assert len(system.balancers) == 4
-        assert system.spec is not None
         assert system.spec.name == "classic"
-
-    def test_structurally_equivalent_to_build_system(self):
-        spec_system = build_from_spec(
-            Environment(), TopologySpec.classic(),
-            default_bundle=get_bundle("current_load"),
-            rng=np.random.default_rng(0))
-        classic_system = build_system(
-            Environment(), ScaleProfile(),
-            bundle=get_bundle("current_load"),
-            rng=np.random.default_rng(0))
-        assert ([s.name for s in spec_system.servers]
-                == [s.name for s in classic_system.servers])
-        assert ([h.name for h in spec_system.hosts]
-                == [h.name for h in classic_system.hosts])
-        assert (spec_system.tomcats[0].max_threads
-                == classic_system.tomcats[0].max_threads)
-        assert (spec_system.mysql.connections.capacity
-                == classic_system.mysql.connections.capacity)
 
     def test_balanced_boundary_without_bundle_needs_a_default(self):
         with pytest.raises(ConfigurationError):

@@ -35,6 +35,12 @@ CASES = [
                    "--duration", "1"]),
     ("controlplane", ["controlplane", "--millibottleneck",
                       "--duration", "4"]),
+    ("controlplane_autoscale_fast",
+     ["controlplane", "--remedy", "autoscale_fast", "--millibottleneck",
+      "--duration", "8"]),
+    ("controlplane_bulkhead",
+     ["controlplane", "--remedy", "bulkhead", "--millibottleneck",
+      "--duration", "8"]),
 ]
 
 

@@ -21,7 +21,11 @@ The scenario class also pins short runs of the paper's Fig. 1
 (``baseline_no_millibottleneck``) and Fig. 2
 (``single_node_millibottleneck``) scenarios exactly as their scenario
 functions build them, so a change to how either deployment is expressed
-or built cannot move its event schedule unnoticed.
+or built cannot move its event schedule unnoticed.  A third short run
+sets all four control-plane mechanisms through
+``ExperimentConfig.controlplane`` (admission queueing, bulkhead waits,
+leveling drains and an autoscaler action all occur inside it), so the
+control plane's wiring and schedule are pinned too.
 """
 
 import hashlib
@@ -35,6 +39,13 @@ from repro.cluster.runner import ExperimentConfig, ExperimentRunner
 from repro.cluster.scenarios import (
     baseline_no_millibottleneck,
     single_node_millibottleneck,
+)
+from repro.controlplane import (
+    AdmissionConfig,
+    AutoscalerConfig,
+    BulkheadConfig,
+    ControlPlaneConfig,
+    LevelingConfig,
 )
 from repro.sim.core import Environment
 from repro.sim.queues import Store
@@ -57,6 +68,25 @@ FIGURE_GOLDENS = {
     "fig2": (single_node_millibottleneck, 26164,
              "a1e297fc2075a10508018146b452cb908b5e8ff252a54745c65fd0a700ca23d5"),
 }
+
+#: Control-plane fixture: smoke profile, 3 simulated seconds at seed 5.
+CONTROLPLANE_EVENTS = 16980
+CONTROLPLANE_SHA256 = (
+    "4690feb384dd5f0951c1b06edf1232eaea743cba4e7aa83a20f9f904d64cd773")
+
+
+def controlplane_config():
+    """Every control-plane mechanism, set through the config shorthand."""
+    return ExperimentConfig(
+        profile=ScaleProfile.smoke(), duration=3.0, seed=5,
+        controlplane=ControlPlaneConfig(
+            autoscaler=AutoscalerConfig(interval=0.25, warmup=0.5,
+                                        cooldown=0.5),
+            admission=AdmissionConfig(mode="queue", capacity=10.0,
+                                      refill_rate=150.0),
+            leveling=LevelingConfig(),
+            bulkhead=BulkheadConfig(read_slots=1, write_slots=1,
+                                    mode="wait")))
 
 
 def build_scenario(env, rng):
@@ -166,3 +196,8 @@ class TestScenarioGoldenTrace:
         records = config_trace_run(make_config(duration=2.0, seed=5))
         assert len(records) == events
         assert trace_hash(records) == sha256
+
+    def test_controlplane_trace_matches_committed_golden(self):
+        records = config_trace_run(controlplane_config())
+        assert len(records) == CONTROLPLANE_EVENTS
+        assert trace_hash(records) == CONTROLPLANE_SHA256

@@ -17,10 +17,10 @@ Run:  python examples/fault_tolerance.py
 
 import numpy as np
 
-from repro import ScaleProfile, TopologySpec, build_from_spec
+from repro import ExperimentConfig, ScaleProfile, build_from_spec
 from repro.analysis import table
 from repro.cluster import FaultInjector
-from repro.core import MemberState, StateConfig, get_bundle
+from repro.core import MemberState, StateConfig
 from repro.core.balancer import BalancerConfig
 from repro.netmodel import RetransmissionPolicy
 from repro.sim import Environment
@@ -33,10 +33,11 @@ def main() -> None:
     env = Environment()
     rng = np.random.default_rng(11)
     profile = ScaleProfile()
+    spec = ExperimentConfig(bundle_key="current_load_modified",
+                            profile=profile).spec()
     system = build_from_spec(
-        env, TopologySpec.classic(profile), profile,
+        env, spec, profile,
         rng=rng,
-        default_bundle=get_bundle("current_load_modified"),
         balancer_config=BalancerConfig(
             pool_size=profile.connection_pool_size,
             trace_lb_values=False, trace_dispatches=True),

@@ -25,7 +25,6 @@ from repro.cluster.faults import FaultInjector, FaultSpec, fault_horizon
 from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import NTierSystem, build_from_spec
 from repro.controlplane import ControlPlaneConfig
-from repro.controlplane.install import install_controlplane
 from repro.core.balancer import BalancerConfig
 from repro.core.remedies import RemedyBundle, get_bundle
 from repro.errors import ConfigurationError
@@ -56,6 +55,8 @@ class ExperimentConfig:
     ``bundle_key`` picks a Table-I policy/mechanism combination.  The
     deployment is ``topology``, or the paper's Fig. 14 shape
     (:meth:`TopologySpec.classic` of ``profile``) when that is ``None``.
+    ``bundle_key`` and ``controlplane`` are shorthand for spec fields
+    (see :meth:`spec`).
     """
 
     bundle_key: str = "original_total_request"
@@ -89,8 +90,8 @@ class ExperimentConfig:
     #: samplers would otherwise dominate the schedule.
     batched_sampling: bool = False
     #: Declarative topology to build instead of the classic 3-tier
-    #: shape.  Balanced boundaries without a bundle of their own fall
-    #: back to ``bundle_key``.
+    #: shape.  Balanced boundaries without a bundle of their own take
+    #: ``bundle_key``.
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
@@ -105,6 +106,52 @@ class ExperimentConfig:
 
     def bundle(self) -> RemedyBundle:
         return get_bundle(self.bundle_key)
+
+    def spec(self) -> TopologySpec:
+        """The one spec this run builds, with the shorthand folded in:
+        ``bundle_key`` on balanced boundaries that name no bundle, and
+        ``controlplane``'s admission and bulkhead on the frontend tier,
+        leveling on boundary 0, the autoscaler on the first worker
+        tier.  A field the spec already sets raises
+        :class:`ConfigurationError`."""
+        spec = self.topology or TopologySpec.classic(
+            self.profile,
+            tomcat_millibottlenecks=self.tomcat_millibottlenecks)
+        boundaries = [replace(boundary, bundle=self.bundle_key)
+                      if boundary.mode == "balanced"
+                      and boundary.bundle is None else boundary
+                      for boundary in spec.boundaries]
+        tiers = list(spec.tiers)
+        plane = self.controlplane or ControlPlaneConfig()
+        tiers[0] = _fold("tier " + repr(tiers[0].name), tiers[0],
+                         admission=plane.admission, bulkhead=plane.bulkhead)
+        boundaries[0] = _fold("boundary 0", boundaries[0],
+                              leveling=plane.leveling)
+        if plane.autoscaler is not None:
+            workers = [depth for depth, tier in enumerate(tiers)
+                       if tier.service == "worker"]
+            if not workers:
+                raise ConfigurationError(
+                    "topology {!r} has no worker tier to autoscale".format(
+                        spec.name))
+            worker = tiers[workers[0]]
+            tiers[workers[0]] = _fold("tier " + repr(worker.name), worker,
+                                      autoscaler=plane.autoscaler)
+        return replace(spec, tiers=tuple(tiers),
+                       boundaries=tuple(boundaries))
+
+
+def _fold(where: str, part, **fields):
+    """``part`` (a tier or boundary spec, named ``where`` in errors)
+    with the non-``None`` ``fields`` set; none may be set already."""
+    fields = {name: value for name, value in fields.items()
+              if value is not None}
+    for name in fields:
+        if getattr(part, name) is not None:
+            raise ConfigurationError(
+                "{}: {} is set by both the topology and "
+                "ExperimentConfig.controlplane".format(where, name))
+    return replace(part, **fields) if fields else part
 
 
 @dataclass
@@ -409,17 +456,11 @@ class ExperimentRunner:
             trace_lb_values=config.trace_lb_values,
             trace_dispatches=config.trace_dispatches,
         )
-        spec = config.topology or TopologySpec.classic(
-            profile, tomcat_millibottlenecks=config.tomcat_millibottlenecks)
         system = build_from_spec(
-            env, spec, profile=profile, rng=rng,
+            env, config.spec(), profile=profile, rng=rng,
             balancer_config=balancer_config,
             resilience=config.resilience,
-            default_bundle=config.bundle(),
         )
-
-        if config.controlplane is not None and config.controlplane.enabled:
-            install_controlplane(env, system, config.controlplane)
 
         fault_injector = None
         if config.faults:

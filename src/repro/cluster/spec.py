@@ -413,7 +413,9 @@ class BoundarySpec:
 
     ``pool_size`` overrides the per-member AJP endpoint pool for this
     boundary's balancers; ``resilience`` names a remedy bundle from
-    :data:`repro.resilience.RESILIENCE_BUNDLES` to wire around them.
+    :data:`repro.resilience.RESILIENCE_BUNDLES` to wire around them
+    (hedge, breaker and probes only: a bundle with a client ``retry``
+    part is rejected).
     """
 
     mode: str = "balanced"
@@ -479,6 +481,11 @@ class BoundarySpec:
                      "unknown resilience bundle {!r} (one of {})".format(
                          self.resilience,
                          ", ".join(sorted(RESILIENCE_BUNDLES))))
+            _require(RESILIENCE_BUNDLES[self.resilience].retry is None,
+                     "resilience bundle {!r} retries on the client, which "
+                     "a boundary cannot configure — set it as "
+                     "ExperimentConfig.resilience instead".format(
+                         self.resilience))
         if self.mode != "balanced":
             _require(self.bundle is None,
                      "boundary mode {!r} takes no policy bundle".format(

@@ -18,6 +18,10 @@ import numpy as np
 
 from repro.cluster.config import ScaleProfile
 from repro.cluster.spec import LinkProfileSpec, TierSpec, TopologySpec
+from repro.controlplane.admission import TokenBucketAdmission
+from repro.controlplane.autoscaler import ReactiveAutoscaler
+from repro.controlplane.bulkhead import Bulkhead
+from repro.controlplane.leveling import LevelingDispatcher, LevelingQueue
 from repro.core.balancer import (
     BalancerConfig,
     DirectDispatcher,
@@ -26,7 +30,7 @@ from repro.core.balancer import (
 )
 from repro.core.mechanism import GetEndpointMechanism
 from repro.core.policies import Policy
-from repro.core.remedies import RemedyBundle, get_bundle
+from repro.core.remedies import get_bundle
 from repro.core.states import StateConfig
 from repro.errors import ConfigurationError
 from repro.netmodel.sockets import Link
@@ -43,10 +47,6 @@ from repro.tiers.cache import CacheTier
 from repro.tiers.shard import ShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.controlplane.admission import TokenBucketAdmission
-    from repro.controlplane.autoscaler import ReactiveAutoscaler
-    from repro.controlplane.bulkhead import Bulkhead
-    from repro.controlplane.leveling import LevelingQueue
     from repro.resilience import ResilienceConfig
     from repro.resilience.hedge import HedgingDispatcher
     from repro.resilience.probes import HealthProber
@@ -157,7 +157,6 @@ def build_from_spec(
     policy_factory: Optional[Callable[[], Policy]] = None,
     mechanism_factory: Optional[Callable[[], GetEndpointMechanism]] = None,
     resilience: Optional["ResilienceConfig"] = None,
-    default_bundle: Optional[RemedyBundle] = None,
 ) -> NTierSystem:
     """Build and wire the system a :class:`TopologySpec` describes.
 
@@ -165,9 +164,8 @@ def build_from_spec(
     the build's randomness.
 
     ``policy_factory``/``mechanism_factory`` and ``resilience``
-    override the *frontend* boundary; deeper boundaries take their
-    bundles from the spec.  ``default_bundle`` backstops any balanced
-    boundary whose spec names no bundle.
+    override the *frontend* boundary; every other balanced boundary
+    takes its bundle from the spec.
     """
     profile = profile or ScaleProfile()
     config = balancer_config or BalancerConfig(
@@ -200,15 +198,13 @@ def build_from_spec(
                 server.attach_dispatcher(_make_dispatcher(
                     env, system, server.name, server.zone, boundary,
                     downstream, depth, config, state_config, rng,
-                    policy_factory, mechanism_factory, resilience,
-                    default_bundle))
+                    policy_factory, mechanism_factory, resilience))
             _wire_frontend_controlplane(env, system, tier, boundary,
                                         servers)
         elif tier.service in ("worker", "cache"):
             make_replica = _worker_factory(
                 env, system, spec, depth, config, state_config, rng,
-                policy_factory, mechanism_factory, resilience,
-                default_bundle)
+                policy_factory, mechanism_factory, resilience)
             for index in range(tier.replicas):
                 make_replica(index)
         else:  # pooled
@@ -220,16 +216,13 @@ def build_from_spec(
     # eagerly, and every factory must exist by now.
     for tier in spec.tiers:
         if tier.autoscaler is not None:
-            from repro.controlplane.autoscaler import ReactiveAutoscaler
-
             system.autoscalers.append(ReactiveAutoscaler(
                 env, system, tier.name, tier.autoscaler))
     return system
 
 
 def _worker_factory(env, system, spec, depth, config, state_config, rng,
-                    policy_factory, mechanism_factory, resilience,
-                    default_bundle):
+                    policy_factory, mechanism_factory, resilience):
     """A closure that builds one more replica of the worker tier at
     ``depth``, appends it to the system and joins it (cold) to every
     dispatcher feeding the tier.
@@ -256,8 +249,7 @@ def _worker_factory(env, system, spec, depth, config, state_config, rng,
             tier_downstream = DispatchDownstream(_make_dispatcher(
                 env, system, host.name, zone, boundary, downstream,
                 depth, config, state_config, rng,
-                policy_factory, mechanism_factory, resilience,
-                default_bundle))
+                policy_factory, mechanism_factory, resilience))
         if tier.service == "cache":
             cache = tier.effective_cache
             server = CacheTier(
@@ -300,8 +292,6 @@ def _pooled_factory(env, system, spec, depth):
             cpu_source=tier.effective_cpu_source)
         server.zone = _zone_of(spec, tier, index)
         if tier.bulkhead is not None:
-            from repro.controlplane.bulkhead import Bulkhead
-
             bulkhead = Bulkhead(env, tier.bulkhead,
                                 name=server.name + ".bulkhead")
             server.install_bulkhead(bulkhead)
@@ -333,12 +323,6 @@ def _join_tier(system: NTierSystem, tier_name: str, depth: int,
 def _wire_frontend_controlplane(env, system, tier, boundary,
                                 servers) -> None:
     """Attach spec-declared control-plane mechanisms to a frontend tier."""
-    if (tier.admission is None and tier.bulkhead is None
-            and (boundary is None or boundary.leveling is None)):
-        return
-    from repro.controlplane.admission import TokenBucketAdmission
-    from repro.controlplane.bulkhead import Bulkhead
-
     for server in servers:
         if tier.admission is not None:
             controller = TokenBucketAdmission(
@@ -350,7 +334,7 @@ def _wire_frontend_controlplane(env, system, tier, boundary,
                                 name=server.name + ".bulkhead")
             server.install_bulkhead(bulkhead)
             system.bulkheads.append(bulkhead)
-        if boundary is not None and boundary.leveling is not None:
+        if boundary.leveling is not None:
             system.levelers.append(
                 server.install_leveling(boundary.leveling))
 
@@ -492,8 +476,7 @@ def _make_host(env: "Environment", tier: TierSpec, index: int) -> Host:
 
 def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
                      downstream, depth, config, state_config, rng,
-                     policy_factory, mechanism_factory, resilience,
-                     default_bundle):
+                     policy_factory, mechanism_factory, resilience):
     """One upstream server's dispatcher over the next tier's replicas."""
     link_factory = _link_factory_for(env, system, owner_name, owner_zone,
                                      boundary, rng,
@@ -521,7 +504,7 @@ def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
         return _maybe_level(env, system, owner_name, boundary, depth,
                             dispatcher)
     make_policy, make_mechanism = _boundary_factories(
-        boundary, depth, policy_factory, mechanism_factory, default_bundle)
+        boundary, depth, policy_factory, mechanism_factory)
     boundary_config = (replace(config, pool_size=boundary.pool_size)
                        if boundary.pool_size is not None else config)
     weights = system.spec.tiers[depth + 1].weights
@@ -602,30 +585,26 @@ def _maybe_level(env, system, owner_name, boundary, depth, dispatcher):
     """
     if depth == 0 or boundary.leveling is None:
         return dispatcher
-    from repro.controlplane.leveling import LevelingDispatcher
-
     leveled = LevelingDispatcher(env, dispatcher, boundary.leveling,
                                  name=owner_name + ".leveling")
     system.levelers.append(leveled.queue)
     return leveled
 
 
-def _boundary_factories(boundary, depth, policy_factory, mechanism_factory,
-                        default_bundle):
+def _boundary_factories(boundary, depth, policy_factory, mechanism_factory):
     """Resolve the policy/mechanism pair for one balanced boundary."""
     if depth == 0 and (policy_factory is not None
                        or mechanism_factory is not None):
         if policy_factory is None or mechanism_factory is None:
             raise ConfigurationError(
-                "provide a RemedyBundle or policy/mechanism factories")
+                "pass both policy_factory and mechanism_factory")
         return policy_factory, mechanism_factory
     if boundary.bundle is not None:
         bundle = get_bundle(boundary.bundle)
         return bundle.make_policy, bundle.make_mechanism
-    if default_bundle is not None:
-        return default_bundle.make_policy, default_bundle.make_mechanism
     raise ConfigurationError(
-        "provide a RemedyBundle or policy/mechanism factories")
+        "balanced boundary {} names no policy bundle (set its bundle, "
+        "or pass policy/mechanism factories for boundary 0)".format(depth))
 
 
 def _boundary_resilience(boundary, depth, resilience):

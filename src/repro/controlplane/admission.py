@@ -23,7 +23,7 @@ the controller started shedding relative to a millibottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 
@@ -126,12 +126,13 @@ class TokenBucketAdmission:
                 outcome=outcome, wait=wait, tokens_after=self._tokens))
 
     # -- decisions -----------------------------------------------------------
-    def admit(self, request: "Request"):
-        """Process generator; returns ``True`` when admitted.
+    def admit(self, request: "Request") -> Optional[float]:
+        """Decide ``request``'s fate without yielding.
 
-        In shed mode this never yields; in queue mode it may sleep for
-        the lease's refill deficit.  Either way the caller simply
-        ``yield from``\\ s it.
+        Returns ``None`` when the request is shed, else the seconds it
+        must wait before it is admitted: ``0.0`` is admitted now; a
+        positive wait (queue mode) has already reserved its lease, and
+        the caller sleeps it out with :meth:`queue_wait`.
         """
         config = self.config
         self._refill()
@@ -139,20 +140,25 @@ class TokenBucketAdmission:
             self._tokens -= config.lease
             self.admitted += 1
             self._record(request, "admitted", 0.0)
-            return True
+            return 0.0
         if config.mode == "shed":
             self.shed += 1
             self._record(request, "shed", 0.0)
-            return False
+            return None
         # Queue mode: reserve the lease up front (the balance going
-        # negative is the reservation) and sleep out the deficit.
+        # negative is the reservation); the caller sleeps out the deficit.
         wait = (config.lease - self._tokens) / config.refill_rate
         if wait > config.max_wait:
             self.shed += 1
             self._record(request, "shed", wait)
-            return False
+            return None
         self._tokens -= config.lease
         self.queued += 1
+        return wait
+
+    def queue_wait(self, request: "Request", wait: float):
+        """Process generator: sleep out a queued reservation, then count
+        the request admitted (one still asleep at the horizon is not)."""
         tracer = self.env.tracer
         if tracer is None:
             yield self.env.timeout(wait)
@@ -163,7 +169,6 @@ class TokenBucketAdmission:
             tracer.finish(span)
         self.admitted += 1
         self._record(request, "queued", wait)
-        return True
 
     def __repr__(self) -> str:
         return "<TokenBucketAdmission {} tokens={:.1f} shed={}>".format(

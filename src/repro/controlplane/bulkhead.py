@@ -20,9 +20,10 @@ and a bulkhead itself schedules no events — only waiters do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
+from repro.sim.resources import Request as ResourceRequest
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,22 +81,25 @@ class Bulkhead:
     def partition(self, cls: str) -> Resource:
         return self._partitions[cls]
 
-    def acquire(self, request: "Request"):
-        """Process generator; returns a held slot, or ``None`` (shed).
+    def claim(self, request: "Request") -> Optional[ResourceRequest]:
+        """Claim a slot of ``request``'s class partition without yielding.
 
-        The caller must ``release()`` a returned slot when the request
-        leaves the tier.
+        Returns ``None`` when shed mode finds the partition full, else
+        the slot request (granted, or pending in wait mode).  Hold it in
+        a ``with`` block and ``yield from`` :meth:`enter` before the
+        guarded work; leaving the block releases or withdraws it.
         """
         cls = self.request_class(request)
         partition = self._partitions[cls]
-        if self.config.mode == "shed":
-            if partition.available <= 0:
-                self.shed[cls] += 1
-                return None
-            slot = partition.request()
-            self.admitted[cls] += 1
-            return slot
-        slot = partition.request()
+        if self.config.mode == "shed" and partition.available <= 0:
+            self.shed[cls] += 1
+            return None
+        return partition.request()
+
+    def enter(self, request: "Request", slot: ResourceRequest):
+        """Process generator: wait until ``slot`` is granted, then count
+        the request admitted (one still waiting at the horizon is not)."""
+        cls = self.request_class(request)
         if not slot.triggered:
             tracer = self.env.tracer
             if tracer is None:
@@ -107,7 +111,6 @@ class Bulkhead:
                 yield slot
                 tracer.finish(span)
         self.admitted[cls] += 1
-        return slot
 
     def sheds(self) -> int:
         return sum(self.shed.values())

@@ -205,8 +205,7 @@ class LevelingDispatcher:
             del self._replies[request.request_id]
             raise self._no_candidate(
                 self.name + ": leveling queue full")
-        result = yield reply
-        return result
+        yield reply
 
     def _drain_one(self, request: "Request"):
         reply = self._replies.pop(request.request_id)

@@ -301,19 +301,20 @@ class FrontendTier(TierServer):
 
     def _handle(self, request: Request):
         if self.admission is not None:
-            admitted = yield from self.admission.admit(request)
-            if not admitted:
+            wait = self.admission.admit(request)
+            if wait is None:
                 self._shed(request)
                 return
+            if wait:
+                yield from self.admission.queue_wait(request, wait)
         if self.bulkhead is not None:
-            slot = yield from self.bulkhead.acquire(request)
+            slot = self.bulkhead.claim(request)
             if slot is None:
                 self._shed(request)
                 return
-            try:
+            with slot:
+                yield from self.bulkhead.enter(request, slot)
                 yield from self._process(request)
-            finally:
-                slot.cancel_or_release()
             return
         yield from self._process(request)
 
@@ -425,7 +426,7 @@ class WorkerTier(TierServer):
         self.downstream = downstream
         self.cpu_source = cpu_source
         self.pre_fraction = pre_fraction
-        self.jobs: Store = Store(env)
+        self.jobs: Store = Store(env)  # statan: ignore[QUEUE001] -- bounded by upstream endpoint pools and worker counts
         self._busy_threads = 0
         self._span_queue_wait = role + ".queue_wait"
         self._span_service = role + ".service"
@@ -552,15 +553,14 @@ class PooledTier(TierServer):
         if interaction.db_queries == 0:
             return
         if self.bulkhead is not None:
-            slot = yield from self.bulkhead.acquire(request)
+            slot = self.bulkhead.claim(request)
             if slot is None:
                 self.shed_responses += 1
                 raise NoCandidateError(
                     "{}: bulkhead partition full".format(self.name))
-            try:
+            with slot:
+                yield from self.bulkhead.enter(request, slot)
                 yield from self._query_pooled(request)
-            finally:
-                slot.cancel_or_release()
             return
         yield from self._query_pooled(request)
 

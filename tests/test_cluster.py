@@ -19,7 +19,6 @@ from repro.cluster.scenarios import (
     single_node_millibottleneck,
     table1_run,
 )
-from repro.core import get_bundle
 from repro.errors import ConfigurationError
 from repro.sim import Environment
 
@@ -92,10 +91,11 @@ class TestScaleProfile:
 def build_classic(profile=None, bundle_key="current_load", **classic):
     """Build the classic spec of ``profile`` with a seeded generator."""
     profile = profile or ScaleProfile()
-    return build_from_spec(
-        Environment(), TopologySpec.classic(profile, **classic), profile,
-        rng=np.random.default_rng(0),
-        default_bundle=get_bundle(bundle_key) if bundle_key else None)
+    spec = TopologySpec.classic(profile, **classic)
+    if bundle_key:
+        spec = ExperimentConfig(bundle_key=bundle_key, topology=spec).spec()
+    return build_from_spec(Environment(), spec, profile,
+                           rng=np.random.default_rng(0))
 
 
 class TestBuildSystem:

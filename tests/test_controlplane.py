@@ -20,13 +20,13 @@ Four layers of coverage:
 
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cluster.config import ScaleProfile
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
-from repro.cluster.scenarios import fault_specs
 from repro.cluster.spec import BoundarySpec, TierSpec, TopologySpec
 from repro.cluster.topology import (
     build_from_spec,
@@ -58,14 +58,27 @@ def make_request(env, request_id=1, write=False):
 
 
 def drive(env, generator):
-    """Run a process generator to completion, returning its value."""
-    outcome = {}
-
-    def runner():
-        outcome["value"] = yield from generator
-    env.process(runner())
+    """Run a process generator to completion."""
+    env.process(generator)
     env.run()
-    return outcome["value"]
+
+
+def admit(env, bucket, request):
+    """Admit ``request`` as a frontend does, sleeping out any queue
+    wait; whether it was admitted."""
+    wait = bucket.admit(request)
+    if wait:
+        drive(env, bucket.queue_wait(request, wait))
+    return wait is not None
+
+
+def enter(env, bulkhead, request):
+    """Claim and enter ``request``'s class slot as a tier does; the held
+    slot, or ``None`` when shed."""
+    slot = bulkhead.claim(request)
+    if slot is not None:
+        drive(env, bulkhead.enter(request, slot))
+    return slot
 
 
 # -- config validation ------------------------------------------------------
@@ -132,7 +145,7 @@ class TestTokenBucketAdmission:
         env = Environment()
         bucket = TokenBucketAdmission(
             env, AdmissionConfig(capacity=2.0, refill_rate=1.0))
-        outcomes = [drive(env, bucket.admit(make_request(env, i)))
+        outcomes = [admit(env, bucket, make_request(env, i))
                     for i in range(4)]
         assert outcomes == [True, True, False, False]
         assert bucket.admitted == 2 and bucket.shed == 2
@@ -143,8 +156,8 @@ class TestTokenBucketAdmission:
         env = Environment()
         bucket = TokenBucketAdmission(
             env, AdmissionConfig(capacity=2.0, refill_rate=4.0))
-        drive(env, bucket.admit(make_request(env, 1)))
-        drive(env, bucket.admit(make_request(env, 2)))
+        admit(env, bucket, make_request(env, 1))
+        admit(env, bucket, make_request(env, 2))
         assert bucket.tokens == 0.0
         env.run(until=env.now + 0.25)
         assert bucket.tokens == pytest.approx(1.0)
@@ -157,10 +170,8 @@ class TestTokenBucketAdmission:
         env.trace = lambda when, event: events.append(event)
         bucket = TokenBucketAdmission(
             env, AdmissionConfig(capacity=1.0, refill_rate=1.0))
-        for i in range(3):
-            gen = bucket.admit(make_request(env, i))
-            with pytest.raises(StopIteration):
-                next(gen)
+        decisions = [bucket.admit(make_request(env, i)) for i in range(3)]
+        assert decisions == [0.0, None, None]
         assert events == []
 
     def test_queue_mode_waits_out_the_deficit(self):
@@ -168,19 +179,35 @@ class TestTokenBucketAdmission:
         bucket = TokenBucketAdmission(
             env, AdmissionConfig(capacity=1.0, refill_rate=2.0,
                                  mode="queue", max_wait=1.0))
-        assert drive(env, bucket.admit(make_request(env, 1))) is True
+        assert admit(env, bucket, make_request(env, 1)) is True
         start = env.now
-        assert drive(env, bucket.admit(make_request(env, 2))) is True
+        assert admit(env, bucket, make_request(env, 2)) is True
         assert env.now - start == pytest.approx(0.5)  # 1 token @ 2/s
         assert bucket.queued == 1
+
+    def test_queued_request_counts_as_admitted_only_after_its_wait(self):
+        env = Environment()
+        bucket = TokenBucketAdmission(
+            env, AdmissionConfig(capacity=1.0, refill_rate=2.0,
+                                 mode="queue", max_wait=1.0))
+        assert bucket.admit(make_request(env, 1)) == 0.0
+        request = make_request(env, 2)
+        wait = bucket.admit(request)
+        assert wait == pytest.approx(0.5)
+        env.process(bucket.queue_wait(request, wait))
+        env.run(until=0.25)  # still asleep at this horizon
+        assert (bucket.admitted, bucket.queued) == (1, 1)
+        env.run()
+        assert bucket.admitted == 2
+        assert [r.outcome for r in bucket.records] == ["admitted", "queued"]
 
     def test_queue_mode_sheds_past_max_wait(self):
         env = Environment()
         bucket = TokenBucketAdmission(
             env, AdmissionConfig(capacity=1.0, refill_rate=1.0,
                                  mode="queue", max_wait=0.25))
-        drive(env, bucket.admit(make_request(env, 1)))
-        assert drive(env, bucket.admit(make_request(env, 2))) is False
+        admit(env, bucket, make_request(env, 1))
+        assert admit(env, bucket, make_request(env, 2)) is False
         assert bucket.shed == 1
 
     def test_record_limit_caps_the_audit_log(self):
@@ -189,7 +216,7 @@ class TestTokenBucketAdmission:
             env, AdmissionConfig(capacity=100.0, refill_rate=1.0,
                                  record_limit=3))
         for i in range(10):
-            drive(env, bucket.admit(make_request(env, i)))
+            admit(env, bucket, make_request(env, i))
         assert len(bucket.records) == 3
         assert bucket.admitted == 10
 
@@ -264,9 +291,8 @@ class TestBulkhead:
         env = Environment()
         bulkhead = Bulkhead(env, BulkheadConfig(read_slots=1,
                                                 write_slots=1))
-        read = drive(env, bulkhead.acquire(make_request(env, 1)))
-        write = drive(env, bulkhead.acquire(make_request(env, 2,
-                                                         write=True)))
+        read = enter(env, bulkhead, make_request(env, 1))
+        write = enter(env, bulkhead, make_request(env, 2, write=True))
         assert read is not None and write is not None
         assert bulkhead.admitted == {"read": 1, "write": 1}
 
@@ -274,31 +300,46 @@ class TestBulkhead:
         env = Environment()
         bulkhead = Bulkhead(env, BulkheadConfig(read_slots=1,
                                                 write_slots=1))
-        held = drive(env, bulkhead.acquire(make_request(env, 1)))
-        assert drive(env, bulkhead.acquire(make_request(env, 2))) is None
+        held = enter(env, bulkhead, make_request(env, 1))
+        assert enter(env, bulkhead, make_request(env, 2)) is None
         # A full read partition must not shed writes.
-        assert drive(env, bulkhead.acquire(
-            make_request(env, 3, write=True))) is not None
+        assert enter(env, bulkhead,
+                     make_request(env, 3, write=True)) is not None
         assert bulkhead.shed == {"read": 1, "write": 0}
         held.cancel_or_release()
-        assert drive(env, bulkhead.acquire(make_request(env, 4))) \
-            is not None
+        assert enter(env, bulkhead, make_request(env, 4)) is not None
 
     def test_wait_mode_queues_for_a_slot(self):
         env = Environment()
         bulkhead = Bulkhead(env, BulkheadConfig(read_slots=1,
                                                 write_slots=1,
                                                 mode="wait"))
-        held = drive(env, bulkhead.acquire(make_request(env, 1)))
+        held = enter(env, bulkhead, make_request(env, 1))
 
         def releaser():
             yield env.timeout(1.0)
             held.cancel_or_release()
         env.process(releaser())
         start = env.now
-        slot = drive(env, bulkhead.acquire(make_request(env, 2)))
+        slot = enter(env, bulkhead, make_request(env, 2))
         assert slot is not None
         assert env.now - start == pytest.approx(1.0)
+
+    def test_with_block_frees_a_granted_or_pending_slot(self):
+        env = Environment()
+        bulkhead = Bulkhead(env, BulkheadConfig(read_slots=1,
+                                                write_slots=1,
+                                                mode="wait"))
+        partition = bulkhead.partition("read")
+        with bulkhead.claim(make_request(env, 1)):
+            with bulkhead.claim(make_request(env, 2)) as pending:
+                assert not pending.triggered
+                assert partition.queue_length == 1
+            assert partition.queue_length == 0  # withdrawn, not granted
+            assert partition.count == 1
+        assert partition.count == 0
+        # Neither request entered, so neither counts as admitted.
+        assert bulkhead.admitted == {"read": 0, "write": 0}
 
 
 # -- declarative spec surface ----------------------------------------------
@@ -371,6 +412,75 @@ class TestSpecSurface:
         assert "leveling" in text
 
 
+# -- the config shorthand ---------------------------------------------------
+
+AUTOSCALED = (Path(__file__).resolve().parent.parent
+              / "examples" / "topologies" / "autoscaled.json")
+
+
+def autoscaled_config(bundle):
+    """``autoscaled.json`` (which declares its own admission, leveling,
+    pooled bulkhead and autoscaler) plus a control-plane bundle."""
+    spec = TopologySpec.load(AUTOSCALED)
+    return ExperimentConfig(topology=spec, profile=spec.scale_profile(),
+                            duration=1.0,
+                            controlplane=CONTROLPLANE_BUNDLES[bundle])
+
+
+class TestConfigShorthand:
+    """``ExperimentConfig.controlplane`` and ``bundle_key`` are folded
+    into the one spec a run builds."""
+
+    def test_shorthand_lands_on_the_classic_spec(self):
+        everything = ControlPlaneConfig(
+            autoscaler=AutoscalerConfig(), admission=AdmissionConfig(),
+            leveling=LevelingConfig(), bulkhead=BulkheadConfig())
+        spec = ExperimentConfig(bundle_key="current_load",
+                                controlplane=everything).spec()
+        apache, tomcat, mysql = spec.tiers
+        assert apache.admission == everything.admission
+        assert apache.bulkhead == everything.bulkhead
+        assert tomcat.autoscaler == everything.autoscaler
+        assert mysql.bulkhead is None
+        assert spec.boundaries[0].leveling == everything.leveling
+        assert spec.boundaries[0].bundle == "current_load"
+        assert spec.boundaries[1].bundle is None  # inline
+
+    def test_spec_declared_autoscaler_plus_bundle_is_rejected(self):
+        """Two autoscalers on one tier used to be built silently."""
+        with pytest.raises(ConfigurationError, match="autoscaler"):
+            ExperimentRunner(autoscaled_config("autoscale")).run()
+
+    def test_spec_declared_admission_fails_at_resolution(self):
+        with pytest.raises(ConfigurationError, match="admission"):
+            autoscaled_config("admission").spec()
+
+    def test_bundle_merges_with_spec_declared_parts(self):
+        spec = autoscaled_config("bulkhead").spec()
+        declared = TopologySpec.load(AUTOSCALED)
+        assert spec.tiers[0].bulkhead == BulkheadConfig()
+        assert spec.tiers[0].admission == declared.tiers[0].admission
+        assert spec.tiers[1:] == declared.tiers[1:]
+        assert spec.boundaries == declared.boundaries
+        system = build_from_spec(Environment(), spec,
+                                 rng=np.random.default_rng(0))
+        # One per frontend from the bundle, one on the pooled tier.
+        assert len(system.bulkheads) == 3
+        assert len(system.autoscalers) == 1
+
+    def test_autoscaler_needs_a_worker_tier(self):
+        spec = TopologySpec(
+            name="no_workers",
+            tiers=(TierSpec(name="web", service="frontend"),
+                   TierSpec(name="db", service="pooled")),
+            boundaries=(BoundarySpec(mode="direct"),))
+        config = ExperimentConfig(topology=spec,
+                                  controlplane=CONTROLPLANE_BUNDLES[
+                                      "autoscale"])
+        with pytest.raises(ConfigurationError, match="no worker tier"):
+            config.spec()
+
+
 # -- replica churn and the autoscaler --------------------------------------
 
 def build_scaled_system(env, autoscaler=None, replicas=2):
@@ -378,10 +488,9 @@ def build_scaled_system(env, autoscaler=None, replicas=2):
     tiers = list(spec.tiers)
     tiers[1] = replace(tiers[1], replicas=replicas,
                        autoscaler=autoscaler)
-    spec = replace(spec, tiers=tuple(tiers))
-    from repro.core.remedies import get_bundle
+    spec = ExperimentConfig(bundle_key="current_load",
+                            topology=replace(spec, tiers=tuple(tiers))).spec()
     return build_from_spec(env, spec, ScaleProfile.smoke(),
-                           default_bundle=get_bundle("current_load"),
                            rng=np.random.default_rng(7))
 
 
@@ -559,26 +668,17 @@ class TestZeroCostWhenOff:
 
 class TestAcceptance:
     @pytest.fixture(scope="class")
-    def headline(self):
-        """One millibottleneck-heavy packet-loss cell, three remedies."""
-        from repro.parallel import run_experiments
-
-        profile = replace(ScaleProfile(), tomcat_disk_bandwidth=4e6)
-        base = dict(bundle_key="original_total_request",
-                    profile=profile, duration=12.0, seed=42,
-                    trace_lb_values=False, trace_dispatches=False,
-                    faults=fault_specs("packet_loss", 12.0))
+    def headline(self, cells, starved_packet_loss):
+        """The shared millibottleneck-heavy packet-loss cell, three
+        remedies."""
         configs = [
-            ExperimentConfig(**base),
-            ExperimentConfig(
-                controlplane=CONTROLPLANE_BUNDLES["autoscale_fast"],
-                **base),
-            ExperimentConfig(
-                controlplane=CONTROLPLANE_BUNDLES["admission+leveling"],
-                **base),
+            starved_packet_loss,
+            replace(starved_packet_loss,
+                    controlplane=CONTROLPLANE_BUNDLES["autoscale_fast"]),
+            replace(starved_packet_loss,
+                    controlplane=CONTROLPLANE_BUNDLES["admission+leveling"]),
         ]
-        none, autoscaled, leveled = run_experiments(configs, workers=3)
-        return none, autoscaled, leveled
+        return cells.run(configs, workers=3)
 
     def test_baseline_suffers_vlrts(self, headline):
         none, _, _ = headline

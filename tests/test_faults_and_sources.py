@@ -6,16 +6,16 @@ import pytest
 from repro.cluster import (
     CorrelatedCrashFault,
     CrashFault,
+    ExperimentConfig,
     FaultInjector,
     LinkLatencyFault,
     PacketLossFault,
     RecurringFault,
     ScaleProfile,
     SlowFault,
-    TopologySpec,
     build_from_spec,
 )
-from repro.core import MemberState, StateConfig, get_bundle
+from repro.core import MemberState, StateConfig
 from repro.core.balancer import BalancerConfig
 from repro.errors import ConfigurationError
 from repro.osmodel import (
@@ -27,6 +27,12 @@ from repro.osmodel import (
 from repro.sim import Environment
 from repro.netmodel import RetransmissionPolicy
 from repro.workload import ClientPopulation, read_write_mix
+
+
+def classic_spec(profile, **flags):
+    """The classic spec of ``profile``, balanced by current_load_modified."""
+    return ExperimentConfig(bundle_key="current_load_modified",
+                            profile=profile, **flags).spec()
 
 
 class TestTransientStallInjector:
@@ -95,9 +101,8 @@ class TestFaultInjector:
     def make_system(self, env, error_recovery=2.0):
         profile = ScaleProfile.smoke()
         system = build_from_spec(
-            env, TopologySpec.classic(profile, tomcat_millibottlenecks=False),
+            env, classic_spec(profile, tomcat_millibottlenecks=False),
             profile, rng=np.random.default_rng(0),
-            default_bundle=get_bundle("current_load_modified"),
             balancer_config=BalancerConfig(
                 pool_size=profile.connection_pool_size,
                 trace_lb_values=False, trace_dispatches=True),
@@ -148,9 +153,8 @@ class TestFaultInjector:
         env = Environment()
         profile = ScaleProfile.smoke()
         system = build_from_spec(
-            env, TopologySpec.classic(profile),  # flushing on
+            env, classic_spec(profile),  # flushing on
             profile, rng=np.random.default_rng(0),
-            default_bundle=get_bundle("current_load_modified"),
             state_config=StateConfig(busy_recheck=0.05,
                                      max_busy_retries=4,
                                      error_recovery=60.0),
@@ -263,9 +267,8 @@ class TestFaultZoo:
     def make_full_system(self, env):
         profile = ScaleProfile.smoke()
         return build_from_spec(
-            env, TopologySpec.classic(profile, tomcat_millibottlenecks=False),
-            profile, rng=np.random.default_rng(0),
-            default_bundle=get_bundle("current_load_modified"))
+            env, classic_spec(profile, tomcat_millibottlenecks=False),
+            profile, rng=np.random.default_rng(0))
 
     def test_packet_loss_window_installs_and_removes_impairment(self):
         env = Environment()

@@ -34,10 +34,9 @@ from repro.cluster.scenarios import (
     ZONE_FAULT_KEYS,
     fault_specs,
 )
-from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import build_from_spec
 from repro.controlplane import CONTROLPLANE_BUNDLES
-from repro.core.remedies import BUNDLES, get_bundle
+from repro.core.remedies import BUNDLES
 from repro.netmodel.tcp import GaveUp, TcpSender
 from repro.resilience import RESILIENCE_BUNDLES, get_resilience
 from repro.sim.core import Environment
@@ -195,8 +194,7 @@ def test_invariants_hold_continuously_under_millibottlenecks():
     env = Environment()
     rng = np.random.default_rng(99)
     system = build_from_spec(
-        env, TopologySpec.classic(PROFILE), PROFILE, rng=rng,
-        default_bundle=get_bundle("original_total_request"))
+        env, ExperimentConfig(profile=PROFILE).spec(), PROFILE, rng=rng)
     population = ClientPopulation(
         env, sockets=[apache.socket for apache in system.frontends],
         total_clients=PROFILE.clients, mix=browsing_only_mix(), rng=rng,
@@ -246,10 +244,10 @@ def test_drain_returns_every_counter_to_zero():
     the conservation identities close exactly."""
     env = Environment()
     rng = np.random.default_rng(5)
-    system = build_from_spec(
-        env, TopologySpec.classic(PROFILE, tomcat_millibottlenecks=False),
-        PROFILE, rng=rng,
-        default_bundle=get_bundle("current_load_modified"))
+    spec = ExperimentConfig(bundle_key="current_load_modified",
+                            profile=PROFILE,
+                            tomcat_millibottlenecks=False).spec()
+    system = build_from_spec(env, spec, PROFILE, rng=rng)
     sender = TcpSender(env)
     mix = browsing_only_mix()
     outcomes = {"completed": 0, "abandoned": 0, "issued": 0}

@@ -21,25 +21,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.config import ScaleProfile
-from repro.cluster.runner import ExperimentConfig
-from repro.cluster.scenarios import fault_specs
-from repro.parallel import run_experiments
-
 
 class TestRematchAcceptance:
     @pytest.fixture(scope="class")
-    def cell(self):
+    def cell(self, cells, starved_packet_loss):
         """Disk-starved + packet-loss: baseline vs the modern zoo."""
-        profile = replace(ScaleProfile(), tomcat_disk_bandwidth=4e6)
-        base = dict(profile=profile, duration=12.0, seed=42,
-                    trace_lb_values=False, trace_dispatches=False,
-                    faults=fault_specs("packet_loss", 12.0))
         keys = ["original_total_request", "prequal", "jiq", "sticky"]
-        configs = [ExperimentConfig(bundle_key=key, **base)
+        configs = [replace(starved_packet_loss, bundle_key=key)
                    for key in keys]
-        results = run_experiments(configs, workers=4)
-        return dict(zip(keys, results))
+        return dict(zip(keys, cells.run(configs, workers=4)))
 
     def test_baseline_funnels_into_the_millibottleneck(self, cell):
         baseline = cell["original_total_request"]

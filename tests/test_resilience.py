@@ -11,11 +11,10 @@ import pytest
 from repro.cluster import (
     ScaleProfile,
     SlowFault,
-    TopologySpec,
     build_from_spec,
 )
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
-from repro.core import MemberState, get_bundle
+from repro.core import MemberState
 from repro.errors import ConfigurationError
 from repro.resilience import (
     RESILIENCE_BUNDLES,
@@ -289,10 +288,10 @@ class TestProbeConfig:
 def build_smoke(env, bundle_key, resilience=None):
     """The smoke-scale classic system, flushing off."""
     profile = ScaleProfile.smoke()
-    return build_from_spec(
-        env, TopologySpec.classic(profile, tomcat_millibottlenecks=False),
-        profile, rng=np.random.default_rng(0),
-        default_bundle=get_bundle(bundle_key), resilience=resilience)
+    spec = ExperimentConfig(bundle_key=bundle_key, profile=profile,
+                            tomcat_millibottlenecks=False).spec()
+    return build_from_spec(env, spec, profile, rng=np.random.default_rng(0),
+                           resilience=resilience)
 
 
 class TestHealthProberIntegration:

@@ -35,7 +35,6 @@ from repro.cluster.spec import (
     get_topology,
 )
 from repro.cluster.topology import build_from_spec
-from repro.core.remedies import get_bundle
 from repro.errors import ConfigurationError
 from repro.sim.core import Environment
 
@@ -95,8 +94,7 @@ class TestClassicEquivalence:
     def test_spec_builder_wires_the_fig14_topology(self):
         env = Environment()
         system = build_from_spec(
-            env, TopologySpec.classic(),
-            default_bundle=get_bundle("current_load"),
+            env, ExperimentConfig(bundle_key="current_load").spec(),
             rng=np.random.default_rng(0))
         assert system.tier_names == ("apache", "tomcat", "mysql")
         assert [s.name for s in system.tiers["apache"]] == [
@@ -162,6 +160,17 @@ class TestBoundarySpecValidation:
     def test_unknown_resilience_bundle(self):
         with pytest.raises(ConfigurationError):
             BoundarySpec(resilience="nope")
+
+    def test_client_retry_bundle_rejected(self):
+        """A boundary wires hedge, breaker and probes only; a bundle
+        whose ``retry`` part configures clients would build nothing
+        there, so it fails fast instead."""
+        for key in ("retry", "full"):
+            with pytest.raises(ConfigurationError) as err:
+                BoundarySpec(resilience=key)
+            assert "ExperimentConfig.resilience" in str(err.value)
+        for key in ("hedge", "breaker", "probes", "breaker+probes"):
+            assert BoundarySpec(resilience=key).resilience == key
 
     def test_non_balanced_modes_take_no_bundles(self):
         with pytest.raises(ConfigurationError):

@@ -3,8 +3,9 @@
 Each case runs ``repro-lb`` in-process and compares its stdout byte for
 byte against a file in ``tests/golden_cli/``.  The tables are the
 user-facing contract of the experiment grids (chaos, Table I, the
-modern-policy rematch, geo, replicate, controlplane): a refactor of the
-grid or metrics code must leave every one of them unchanged, and the
+modern-policy rematch, geo, replicate, controlplane) and of topology
+runs (``run --topology``, ``chaos --topology``): a refactor of the
+grid, spec or metrics code must leave every one of them unchanged, and the
 chaos grid must print the same table under ``--workers 1`` and
 ``--workers 2``.
 
@@ -19,6 +20,8 @@ import pytest
 from repro.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden_cli")
+#: Spec-file paths in the cases are relative to the repository root.
+ROOT = Path(__file__).resolve().parent.parent
 
 CHAOS = ["chaos", "--faults", "crash,transient_crash",
          "--remedies", "none,full", "--duration", "4"]
@@ -41,13 +44,21 @@ CASES = [
     ("controlplane_bulkhead",
      ["controlplane", "--remedy", "bulkhead", "--millibottleneck",
       "--duration", "8"]),
+    ("run_replicated_db",
+     ["run", "--topology", "replicated_db", "--duration", "6"]),
+    ("run_four_tier", ["run", "--topology", "four_tier", "--duration", "6"]),
+    ("chaos_autoscaled",
+     ["chaos", "--topology", "examples/topologies/autoscaled.json",
+      "--faults", "packet_loss", "--remedies", "none,bulkhead",
+      "--bundles", "current_load_modified", "--duration", "4"]),
 ]
 
 
 @pytest.mark.parametrize(
     "name,argv", CASES,
     ids=["{}[{}]".format(name, " ".join(argv[1:])) for name, argv in CASES])
-def test_cli_stdout_matches_golden(name, argv, capsys):
+def test_cli_stdout_matches_golden(name, argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     expected = (GOLDEN_DIR / (name + ".txt")).read_text()
     assert capsys.readouterr().out == expected
@@ -57,7 +68,10 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import contextlib
     import io
 
+    import os
+
     GOLDEN_DIR.mkdir(exist_ok=True)
+    os.chdir(ROOT)
     for name, argv in CASES:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):

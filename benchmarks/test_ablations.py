@@ -38,11 +38,10 @@ def custom_run(policy_name: str, mechanism_factory, duration=DURATION,
     system = build_from_spec(
         env, TopologySpec.classic(
             profile, tomcat_millibottlenecks=millibottlenecks),
-        profile, rng=rng,
+        rng=rng,
         policy_factory=lambda: make_policy(policy_name),
         mechanism_factory=mechanism_factory,
         balancer_config=BalancerConfig(
-            pool_size=profile.connection_pool_size,
             trace_lb_values=False, trace_dispatches=False),
     )
     if stall_source is not None:
@@ -239,11 +238,10 @@ def test_ablation_bursty_workload_negative_control(benchmark):
         system = build_from_spec(
             env, TopologySpec.classic(
                 profile, tomcat_millibottlenecks=False),  # no stalls at all
-            profile, rng=rng,
+            rng=rng,
             policy_factory=lambda: make_policy(policy_name),
             mechanism_factory=OriginalGetEndpoint,
             balancer_config=BalancerConfig(
-                pool_size=profile.connection_pool_size,
                 trace_lb_values=False, trace_dispatches=False),
         )
         generators = [

@@ -61,8 +61,7 @@ def _measure_run_events() -> float:
     best = 0.0
     for _ in range(ROUNDS):
         config = ExperimentConfig(
-            profile=spec.scale_profile(), topology=spec,
-            duration=RUN_DURATION, seed=42,
+            topology=spec, duration=RUN_DURATION, seed=42,
             trace_lb_values=False, trace_dispatches=False)
         env = Environment()
         start = time.perf_counter()

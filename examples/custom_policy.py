@@ -67,12 +67,11 @@ def run(policy_factory, mechanism_factory, label, duration=10.0, seed=3):
     rng = np.random.default_rng(seed)
     profile = ScaleProfile()
     system = build_from_spec(
-        env, TopologySpec.classic(profile), profile,
+        env, TopologySpec.classic(profile),
         rng=rng,
         policy_factory=policy_factory,
         mechanism_factory=mechanism_factory,
         balancer_config=BalancerConfig(
-            pool_size=profile.connection_pool_size,
             trace_lb_values=False, trace_dispatches=False),
     )
     population = ClientPopulation(

@@ -36,10 +36,9 @@ def main() -> None:
     spec = ExperimentConfig(bundle_key="current_load_modified",
                             profile=profile).spec()
     system = build_from_spec(
-        env, spec, profile,
+        env, spec,
         rng=rng,
         balancer_config=BalancerConfig(
-            pool_size=profile.connection_pool_size,
             trace_lb_values=False, trace_dispatches=True),
         state_config=StateConfig(busy_recheck=0.1, max_busy_retries=8,
                                  error_recovery=30.0),

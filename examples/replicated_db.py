@@ -31,8 +31,7 @@ def main() -> None:
     assert TopologySpec.from_json(spec.to_json()) == spec
 
     config = ExperimentConfig(
-        profile=spec.scale_profile(),  # workload knobs come from the spec
-        topology=spec,
+        topology=spec,  # tiers, pools and workload all come from the spec
         duration=10.0,
         seed=42,
     )

@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         spec = _load_topology(args.topology)
         config = ExperimentConfig(
-            profile=spec.scale_profile(), topology=spec,
+            topology=spec,
             duration=args.duration if args.duration is not None else 10.0)
     else:
         if args.scenario is None:
@@ -167,7 +167,11 @@ def _split(value: str | None) -> list[str] | None:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.cluster.config import ScaleProfile
     from repro.cluster.scenarios import ChaosSuite
+    from repro.errors import ConfigurationError
 
+    if args.full_scale and args.topology:
+        raise ConfigurationError("--full-scale sizes the classic shape; "
+                                 "a topology runs its declared workload")
     suite = ChaosSuite(
         fault_keys=_split(args.faults),
         remedy_keys=_split(args.remedies),

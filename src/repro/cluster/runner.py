@@ -53,8 +53,9 @@ class ExperimentConfig:
     """Everything that defines one run.
 
     ``bundle_key`` picks a Table-I policy/mechanism combination.  The
-    deployment is ``topology``, or the paper's Fig. 14 shape
-    (:meth:`TopologySpec.classic` of ``profile``) when that is ``None``.
+    deployment and its workload are ``topology``, or the paper's
+    Fig. 14 shape (:meth:`TopologySpec.classic` of ``profile``) when
+    that is ``None``; ``profile`` sizes the classic shape only.
     ``bundle_key`` and ``controlplane`` are shorthand for spec fields
     (see :meth:`spec`).
     """
@@ -99,10 +100,13 @@ class ExperimentConfig:
             raise ConfigurationError("duration must be positive")
         if self.sample_window <= 0:
             raise ConfigurationError("sample_window must be positive")
-        if self.topology is not None and not self.tomcat_millibottlenecks:
+        if self.topology is not None and (
+                self.profile != ScaleProfile()
+                or not self.tomcat_millibottlenecks):
             raise ConfigurationError(
-                "tomcat_millibottlenecks applies to the classic shape "
-                "only; a topology's FlushSpecs decide its flushing")
+                "profile and tomcat_millibottlenecks apply to the classic "
+                "shape only; topology {!r} declares its own tiers, "
+                "flushing and workload".format(self.topology.name))
 
     def bundle(self) -> RemedyBundle:
         return get_bundle(self.bundle_key)
@@ -449,15 +453,14 @@ class ExperimentRunner:
             tracer = SpanTracer(env)
             env.tracer = tracer
         rng = np.random.default_rng(config.seed)
-        profile = config.profile
+        spec = config.spec()
 
         balancer_config = BalancerConfig(
-            pool_size=profile.connection_pool_size,
             trace_lb_values=config.trace_lb_values,
             trace_dispatches=config.trace_dispatches,
         )
         system = build_from_spec(
-            env, config.spec(), profile=profile, rng=rng,
+            env, spec, rng=rng,
             balancer_config=balancer_config,
             resilience=config.resilience,
         )
@@ -475,12 +478,12 @@ class ExperimentRunner:
         population = ClientPopulation(
             env,
             sockets=[frontend.socket for frontend in system.frontends],
-            total_clients=profile.clients,
+            total_clients=spec.workload.clients,
             mix=self.mix,
             rng=rng,
-            think_time=profile.think_time,
+            think_time=spec.workload.think_time,
             retransmission=RetransmissionPolicy(),
-            ramp_up=profile.ramp_up,
+            ramp_up=spec.workload.ramp_up,
             retry=(config.resilience.retry
                    if config.resilience is not None else None),
         )
@@ -536,16 +539,12 @@ def with_overrides(config: ExperimentConfig,
                    overrides: Mapping[str, Any]) -> ExperimentConfig:
     """Return a copy of ``config`` with ``overrides`` applied in order.
 
-    Keys are config fields (``"seed"``), profile fields
-    (``"profile.clients"``) or ``"topology"``, which also sets the
-    profile to the spec's declared workload (``spec.scale_profile()``).
+    Keys are config fields (``"seed"``) or profile fields
+    (``"profile.clients"``).
     """
     for path, value in overrides.items():
         parts = path.split(".")
-        if path == "topology" and value is not None:
-            config = replace(config, topology=value,
-                             profile=value.scale_profile())
-        elif len(parts) == 1:
+        if len(parts) == 1:
             if not hasattr(config, path):
                 raise ConfigurationError("unknown config field: " + path)
             config = replace(config, **{path: value})

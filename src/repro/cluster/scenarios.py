@@ -29,7 +29,7 @@ from repro.cluster.faults import (
     WanDegradationFault,
     ZoneOutageFault,
 )
-from repro.cluster.runner import ExperimentConfig, Grid, with_overrides
+from repro.cluster.runner import ExperimentConfig, Grid
 from repro.cluster.spec import TopologySpec
 from repro.controlplane import CONTROLPLANE_BUNDLES, ControlPlaneConfig
 from repro.core.remedies import BUNDLES, MODERN_BUNDLES, TABLE1_BUNDLES
@@ -62,14 +62,13 @@ def single_node_millibottleneck(duration: float = FIGURE_DURATION,
     millibottlenecks on each), producing the two kinds of Apache queue
     peak: its own stall, and the push-back wave from Tomcat.
     """
-    profile = ScaleProfile.single_node()
     return ExperimentConfig(
         bundle_key="original_total_request",  # unused (no balancer)
-        profile=profile,
         duration=duration,
         seed=seed,
         sample_dirty_pages=True,
-        topology=TopologySpec.classic(profile, apache_millibottlenecks=True,
+        topology=TopologySpec.classic(ScaleProfile.single_node(),
+                                      apache_millibottlenecks=True,
                                       use_balancer=False),
     )
 
@@ -211,8 +210,8 @@ class ChaosSuite(Grid):
     Fault schedules are keyed off the run seed (see
     ``FAULT_RNG_STREAM``), so a cell's numbers are identical under
     ``workers=1`` and ``workers=N``.  With a ``topology`` every cell
-    builds that spec and runs its declared workload
-    (``spec.scale_profile()``), so a ``profile`` may not be given too.
+    builds that spec and runs its declared workload; ``profile`` (the
+    smoke profile by default) sizes the classic shape only.
     """
 
     def __init__(self,
@@ -246,18 +245,13 @@ class ChaosSuite(Grid):
                     "unknown policy bundle {!r}".format(key))
         if duration <= 0:
             raise ConfigurationError("duration must be positive")
-        if topology is not None and profile is not None:
-            raise ConfigurationError(
-                "a topology runs its declared workload; give either a "
-                "profile or a topology, not both")
+        if profile is None and topology is None:
+            profile = ScaleProfile.smoke()
         self.duration = duration
-        base = with_overrides(
-            ExperimentConfig(profile=profile or ScaleProfile.smoke(),
-                             duration=duration, seed=seed,
-                             trace_lb_values=False, trace_dispatches=False),
-            {"topology": topology})
-        self.profile = base.profile
-        super().__init__(base, {
+        super().__init__(ExperimentConfig(
+            profile=profile or ScaleProfile(), topology=topology,
+            duration=duration, seed=seed,
+            trace_lb_values=False, trace_dispatches=False), {
             "fault": {key: {"faults": fault_specs(key, duration)}
                       for key in self.fault_keys},
             "remedy": {key: dict(zip(("resilience", "controlplane"),

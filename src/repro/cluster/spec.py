@@ -411,8 +411,9 @@ class BoundarySpec:
       downstream pooled server directly, holding one pooled connection
       for the whole request (the classic Tomcat→MySQL wiring).
 
-    ``pool_size`` overrides the per-member AJP endpoint pool for this
-    boundary's balancers; ``resilience`` names a remedy bundle from
+    ``pool_size`` is the per-member AJP endpoint pool of a balanced
+    boundary (``BOUNDARY_POOL_SIZE`` when ``None``); ``resilience``
+    names a remedy bundle from
     :data:`repro.resilience.RESILIENCE_BUNDLES` to wire around them
     (hedge, breaker and probes only: a bundle with a client ``retry``
     part is rejected).
@@ -487,6 +488,10 @@ class BoundarySpec:
                      "ExperimentConfig.resilience instead".format(
                          self.resilience))
         if self.mode != "balanced":
+            _require(self.pool_size is None,
+                     "boundary mode {!r} takes no pool_size — only "
+                     "balanced boundaries own endpoint pools".format(
+                         self.mode))
             _require(self.bundle is None,
                      "boundary mode {!r} takes no policy bundle".format(
                          self.mode))
@@ -740,22 +745,6 @@ class TopologySpec:
                 return tier
         raise ConfigurationError("no tier named " + repr(name))
 
-    def scale_profile(self) -> ScaleProfile:
-        """A :class:`ScaleProfile` carrying this spec's workload knobs.
-
-        Only the workload fields matter when building from a spec (the
-        tier knobs all come from the spec itself); the counts are
-        mirrored so reporting code sees a faithful profile.
-        """
-        return ScaleProfile(
-            name=self.name,
-            apache_count=self.tiers[0].replicas,
-            tomcat_count=self.tiers[1].replicas,
-            clients=self.workload.clients,
-            think_time=self.workload.think_time,
-            ramp_up=self.workload.ramp_up,
-        )
-
     def describe(self) -> str:
         """A compact human-readable rendering for ``topology show``."""
         lines = ["topology {!r}: {} tiers, {} clients".format(
@@ -835,8 +824,9 @@ class TopologySpec:
 
         ``use_balancer=False`` makes every Apache round-robin directly
         over the Tomcats (the §III-B single-node configuration is the
-        1/1 case).  The balanced boundary names no bundle: the
-        experiment's ``bundle_key`` fills it in.
+        1/1 case).  The balanced boundary carries the profile's
+        endpoint pool but names no bundle: the experiment's
+        ``bundle_key`` fills it in.
         """
         profile = profile or ScaleProfile()
         tomcat_flush = (FlushSpec(
@@ -872,7 +862,9 @@ class TopologySpec:
                          cores=profile.mysql_cores),
             ),
             boundaries=(
-                BoundarySpec(mode="balanced" if use_balancer else "direct"),
+                BoundarySpec(mode="balanced",
+                             pool_size=profile.connection_pool_size)
+                if use_balancer else BoundarySpec(mode="direct"),
                 BoundarySpec(mode="inline"),
             ),
             workload=WorkloadSpec(clients=profile.clients,

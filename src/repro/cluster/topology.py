@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from repro.cluster.config import ScaleProfile
 from repro.cluster.spec import LinkProfileSpec, TierSpec, TopologySpec
 from repro.controlplane.admission import TokenBucketAdmission
 from repro.controlplane.autoscaler import ReactiveAutoscaler
@@ -52,6 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.probes import HealthProber
     from repro.sim.core import Environment
 
+#: Endpoints per member on a balanced boundary with no ``pool_size``:
+#: the scaled Fig. 14 pool (see ``ScaleProfile.connection_pool_size``).
+BOUNDARY_POOL_SIZE = 6
+
+
 @dataclass
 class NTierSystem:
     """All the servers of one experiment, fully wired.
@@ -62,7 +66,6 @@ class NTierSystem:
     """
 
     env: "Environment"
-    profile: ScaleProfile
     tier_names: tuple[str, ...]
     tiers: dict[str, list[TierServer]]
     #: The declarative spec the system was built from.
@@ -149,7 +152,6 @@ class NTierSystem:
 def build_from_spec(
     env: "Environment",
     spec: TopologySpec,
-    profile: Optional[ScaleProfile] = None,
     *,
     rng: np.random.Generator,
     balancer_config: Optional[BalancerConfig] = None,
@@ -161,18 +163,20 @@ def build_from_spec(
     """Build and wire the system a :class:`TopologySpec` describes.
 
     ``rng`` is the experiment's seeded generator, the one source of
-    the build's randomness.
+    the build's randomness.  Endpoint pools come from the boundaries'
+    ``pool_size`` (:data:`BOUNDARY_POOL_SIZE` when unset).
 
     ``policy_factory``/``mechanism_factory`` and ``resilience``
     override the *frontend* boundary; every other balanced boundary
     takes its bundle from the spec.
     """
-    profile = profile or ScaleProfile()
-    config = balancer_config or BalancerConfig(
-        pool_size=profile.connection_pool_size)
+    config = balancer_config or BalancerConfig()
+    if config.pool_size != BalancerConfig.pool_size:
+        raise ConfigurationError("set endpoint pools as BoundarySpec."
+                                 "pool_size, not in balancer_config")
 
     system = NTierSystem(
-        env=env, profile=profile, spec=spec,
+        env=env, spec=spec,
         tier_names=tuple(tier.name for tier in spec.tiers),
         tiers={tier.name: [] for tier in spec.tiers})
 
@@ -505,8 +509,8 @@ def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
                             dispatcher)
     make_policy, make_mechanism = _boundary_factories(
         boundary, depth, policy_factory, mechanism_factory)
-    boundary_config = (replace(config, pool_size=boundary.pool_size)
-                       if boundary.pool_size is not None else config)
+    boundary_config = replace(
+        config, pool_size=boundary.pool_size or BOUNDARY_POOL_SIZE)
     weights = system.spec.tiers[depth + 1].weights
     boundary_resilience = _boundary_resilience(boundary, depth, resilience)
 

@@ -70,7 +70,7 @@ class TestSuiteConstruction:
         assert suite.bundle_keys == ["original_total_request",
                                      "current_load_modified"]
         assert suite.duration == CHAOS_DURATION
-        assert suite.profile == ScaleProfile.smoke()
+        assert suite.base.profile == ScaleProfile.smoke()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -172,7 +172,6 @@ class TestTopologyCells:
                            duration=0.5, topology=spec)
         ((_, config),) = suite.cells()
         assert config.topology == spec
-        assert config.profile == spec.scale_profile()
         result = ExperimentRunner(config).run()
         assert len(result.population) == spec.workload.clients
         assert spec.workload.clients != ScaleProfile.smoke().clients
@@ -180,7 +179,7 @@ class TestTopologyCells:
     def test_topology_and_profile_are_exclusive(self):
         with pytest.raises(ConfigurationError):
             ChaosSuite(topology=get_topology("geo"),
-                       profile=ScaleProfile())
+                       profile=ScaleProfile.smoke())
 
 
 class TestChaosReport:

@@ -90,11 +90,10 @@ class TestScaleProfile:
 
 def build_classic(profile=None, bundle_key="current_load", **classic):
     """Build the classic spec of ``profile`` with a seeded generator."""
-    profile = profile or ScaleProfile()
     spec = TopologySpec.classic(profile, **classic)
     if bundle_key:
         spec = ExperimentConfig(bundle_key=bundle_key, topology=spec).spec()
-    return build_from_spec(Environment(), spec, profile,
+    return build_from_spec(Environment(), spec,
                            rng=np.random.default_rng(0))
 
 
@@ -174,7 +173,7 @@ class TestScenarios:
         assert config.topology.boundaries[0].mode == "direct"
         assert apache.flush is not None and tomcat.flush is not None
         assert apache.replicas == tomcat.replicas == 1
-        assert config.profile.apache_count == 1
+        assert config.topology.workload.clients == 500
 
     def test_policy_run_traces(self):
         config = policy_run("current_load")

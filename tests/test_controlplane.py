@@ -422,8 +422,7 @@ def autoscaled_config(bundle):
     """``autoscaled.json`` (which declares its own admission, leveling,
     pooled bulkhead and autoscaler) plus a control-plane bundle."""
     spec = TopologySpec.load(AUTOSCALED)
-    return ExperimentConfig(topology=spec, profile=spec.scale_profile(),
-                            duration=1.0,
+    return ExperimentConfig(topology=spec, duration=1.0,
                             controlplane=CONTROLPLANE_BUNDLES[bundle])
 
 
@@ -490,8 +489,7 @@ def build_scaled_system(env, autoscaler=None, replicas=2):
                        autoscaler=autoscaler)
     spec = ExperimentConfig(bundle_key="current_load",
                             topology=replace(spec, tiers=tuple(tiers))).spec()
-    return build_from_spec(env, spec, ScaleProfile.smoke(),
-                           rng=np.random.default_rng(7))
+    return build_from_spec(env, spec, rng=np.random.default_rng(7))
 
 
 class TestReplicaChurn:

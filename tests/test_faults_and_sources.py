@@ -102,9 +102,8 @@ class TestFaultInjector:
         profile = ScaleProfile.smoke()
         system = build_from_spec(
             env, classic_spec(profile, tomcat_millibottlenecks=False),
-            profile, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
             balancer_config=BalancerConfig(
-                pool_size=profile.connection_pool_size,
                 trace_lb_values=False, trace_dispatches=True),
             state_config=StateConfig(busy_recheck=0.05,
                                      max_busy_retries=4,
@@ -154,7 +153,7 @@ class TestFaultInjector:
         profile = ScaleProfile.smoke()
         system = build_from_spec(
             env, classic_spec(profile),  # flushing on
-            profile, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
             state_config=StateConfig(busy_recheck=0.05,
                                      max_busy_retries=4,
                                      error_recovery=60.0),
@@ -268,7 +267,7 @@ class TestFaultZoo:
         profile = ScaleProfile.smoke()
         return build_from_spec(
             env, classic_spec(profile, tomcat_millibottlenecks=False),
-            profile, rng=np.random.default_rng(0))
+            rng=np.random.default_rng(0))
 
     def test_packet_loss_window_installs_and_removes_impairment(self):
         env = Environment()

@@ -138,10 +138,6 @@ class TestGeoSpecRoundTrip:
         again = TopologySpec.from_json(spec.to_json())
         assert again == spec
 
-    def test_example_file_matches_builtin(self):
-        assert TopologySpec.load(
-            "examples/topologies/geo.json") == get_topology("geo")
-
     def test_describe_mentions_geo_features(self):
         text = get_topology("geo").describe()
         assert "east" in text and "west" in text
@@ -274,7 +270,7 @@ class TestZoneFaults:
     def test_zone_outage_needs_zoned_topology(self):
         spec = get_topology("classic")
         config = ExperimentConfig(
-            profile=spec.scale_profile(), topology=spec, duration=2.0,
+            topology=spec, duration=2.0,
             trace_lb_values=False, trace_dispatches=False,
             faults=(ZoneOutageFault("east", at=0.5),))
         with pytest.raises(ConfigurationError, match="zone"):
@@ -314,7 +310,7 @@ class TestZoneFaults:
     def test_wan_degradation_without_wan_links(self):
         spec = get_topology("classic")
         config = ExperimentConfig(
-            profile=spec.scale_profile(), topology=spec, duration=2.0,
+            topology=spec, duration=2.0,
             trace_lb_values=False, trace_dispatches=False,
             faults=(WanDegradationFault("east", "west", at=0.5,
                                         duration=1.0),))
@@ -328,8 +324,8 @@ def _run_geo(fault_key, hierarchy=True, duration=6.0, **config_kwargs):
     spec = TopologySpec.geo(hierarchy=hierarchy, disk_bandwidth=3e6,
                             clients=80)
     config = ExperimentConfig(
-        profile=spec.scale_profile(), topology=spec, duration=duration,
-        seed=7, trace_lb_values=False, trace_dispatches=False,
+        topology=spec, duration=duration, seed=7,
+        trace_lb_values=False, trace_dispatches=False,
         faults=fault_specs(fault_key, duration), **config_kwargs)
     return ExperimentRunner(config).run()
 

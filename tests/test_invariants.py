@@ -194,7 +194,7 @@ def test_invariants_hold_continuously_under_millibottlenecks():
     env = Environment()
     rng = np.random.default_rng(99)
     system = build_from_spec(
-        env, ExperimentConfig(profile=PROFILE).spec(), PROFILE, rng=rng)
+        env, ExperimentConfig(profile=PROFILE).spec(), rng=rng)
     population = ClientPopulation(
         env, sockets=[apache.socket for apache in system.frontends],
         total_clients=PROFILE.clients, mix=browsing_only_mix(), rng=rng,
@@ -247,7 +247,7 @@ def test_drain_returns_every_counter_to_zero():
     spec = ExperimentConfig(bundle_key="current_load_modified",
                             profile=PROFILE,
                             tomcat_millibottlenecks=False).spec()
-    system = build_from_spec(env, spec, PROFILE, rng=rng)
+    system = build_from_spec(env, spec, rng=rng)
     sender = TcpSender(env)
     mix = browsing_only_mix()
     outcomes = {"completed": 0, "abandoned": 0, "issued": 0}

@@ -71,8 +71,7 @@ class TestRunExperiments:
         """A pooled topology run is labelled by its topology, exactly as
         the live result is (the pool once fell back to ``bundle_key``)."""
         spec = TopologySpec.geo(clients=40)
-        config = ExperimentConfig(profile=spec.scale_profile(),
-                                  topology=spec, duration=2.0)
+        config = ExperimentConfig(topology=spec, duration=2.0)
         live = ExperimentRunner(config).run().metrics.summary()
         pooled = run_experiments([config, replace(config, seed=12)],
                                  workers=2)[0].summary()

@@ -290,7 +290,7 @@ def build_smoke(env, bundle_key, resilience=None):
     profile = ScaleProfile.smoke()
     spec = ExperimentConfig(bundle_key=bundle_key, profile=profile,
                             tomcat_millibottlenecks=False).spec()
-    return build_from_spec(env, spec, profile, rng=np.random.default_rng(0),
+    return build_from_spec(env, spec, rng=np.random.default_rng(0),
                            resilience=resilience)
 
 

@@ -18,13 +18,14 @@ Three layers of protection for the spec-driven builder:
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.cluster.config import ScaleProfile
-from repro.cluster.runner import ExperimentConfig, ExperimentRunner
+from repro.cluster.runner import ExperimentConfig, ExperimentRunner, Grid
 from repro.cluster.spec import (
     BUILTIN_TOPOLOGIES,
     BoundarySpec,
@@ -34,12 +35,16 @@ from repro.cluster.spec import (
     WorkloadSpec,
     get_topology,
 )
-from repro.cluster.topology import build_from_spec
+from repro.cluster.topology import BOUNDARY_POOL_SIZE, build_from_spec
+from repro.core.balancer import BalancerConfig
 from repro.errors import ConfigurationError
 from repro.sim.core import Environment
 
 from tests.test_golden_trace import SCENARIO_EVENTS, SCENARIO_SHA256, trace_hash
 from tests.test_invariants import assert_all_invariants
+
+EXAMPLE_TOPOLOGIES = (Path(__file__).resolve().parent.parent
+                      / "examples" / "topologies")
 
 
 def traced_run(config):
@@ -72,7 +77,7 @@ class TestClassicEquivalence:
         profile = replace(ScaleProfile.smoke(), clients=120,
                           flush_threshold_bytes=32e3)
         records = traced_run(ExperimentConfig(
-            bundle_key="current_load", profile=profile,
+            bundle_key="current_load",
             topology=TopologySpec.classic(profile),
             duration=6.0, seed=99,
             trace_lb_values=False, trace_dispatches=False))
@@ -83,10 +88,10 @@ class TestClassicEquivalence:
         """A config without a topology builds the classic spec of its
         profile: identical full event schedules at the same seed."""
         profile = ScaleProfile.smoke()
-        base = dict(bundle_key="current_load", profile=profile,
+        base = dict(bundle_key="current_load",
                     duration=4.0, seed=20170601,
                     trace_lb_values=False, trace_dispatches=False)
-        default = traced_run(ExperimentConfig(**base))
+        default = traced_run(ExperimentConfig(profile=profile, **base))
         from_spec = traced_run(ExperimentConfig(
             topology=TopologySpec.classic(profile), **base))
         assert default == from_spec
@@ -181,6 +186,13 @@ class TestBoundarySpecValidation:
     def test_pool_size_bound(self):
         with pytest.raises(ConfigurationError):
             BoundarySpec(pool_size=0)
+
+    @pytest.mark.parametrize("mode", ["direct", "inline", "sharded"])
+    def test_pool_size_needs_a_balancer(self, mode):
+        """Only balanced boundaries own endpoint pools; a pool size
+        anywhere else would be silently ignored."""
+        with pytest.raises(ConfigurationError, match="pool_size"):
+            BoundarySpec(mode=mode, pool_size=3)
 
 
 class TestTopologySpecValidation:
@@ -281,6 +293,13 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError):
             TopologySpec.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "key", ["classic", "four_tier", "replicated_db", "geo"])
+    def test_example_file_matches_builtin(self, key):
+        """The shipped spec files are the builtins, field for field."""
+        assert TopologySpec.load(EXAMPLE_TOPOLOGIES / (key + ".json")) \
+            == get_topology(key)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(get_topology("replicated_db").to_json())
@@ -302,8 +321,7 @@ class TestSerialisation:
 def run_topology(key, duration=4.0, seed=7):
     spec = get_topology(key)
     config = ExperimentConfig(
-        profile=spec.scale_profile(), topology=spec,
-        duration=duration, seed=seed,
+        topology=spec, duration=duration, seed=seed,
         trace_lb_values=False, trace_dispatches=False)
     return ExperimentRunner(config).run()
 
@@ -347,6 +365,59 @@ class TestFourTierTopology:
                    result.system.millibottleneck_records()}
         assert stalled and all(host.startswith("backend")
                                for host in stalled)
+
+
+# -- the spec is the run ----------------------------------------------------
+
+class TestSpecIsTheRun:
+    """A topology run takes its workload and endpoint pools from the
+    spec alone; a second description of the deployment fails fast."""
+
+    def test_topology_runs_its_declared_clients(self):
+        spec = get_topology("replicated_db")
+        result = ExperimentRunner(ExperimentConfig(
+            topology=spec, duration=0.5)).run()
+        assert len(result.population) == spec.workload.clients == 160
+
+    def test_topology_with_a_profile_raises(self):
+        with pytest.raises(ConfigurationError, match="profile"):
+            ExperimentConfig(topology=get_topology("replicated_db"),
+                             profile=ScaleProfile.smoke())
+
+    def test_profile_axis_over_a_topology_raises_at_grid(self):
+        base = ExperimentConfig(topology=get_topology("replicated_db"))
+        with pytest.raises(ConfigurationError, match="profile"):
+            Grid(base, {"clients": {"60": {"profile.clients": 60}}})
+
+    def test_pool_sizes_come_from_the_boundaries(self):
+        spec = get_topology("replicated_db")
+        boundaries = list(spec.boundaries)
+        boundaries[1] = replace(boundaries[1], pool_size=3)
+        system = build_from_spec(
+            Environment(), replace(spec, boundaries=tuple(boundaries)),
+            rng=np.random.default_rng(0))
+        pools = {balancer.name: {member.pool.capacity
+                                 for member in balancer.members}
+                 for balancer in system.balancers}
+        assert pools == {"apache1.lb": {BOUNDARY_POOL_SIZE},
+                         "apache2.lb": {BOUNDARY_POOL_SIZE},
+                         "tomcat1.lb": {3}, "tomcat2.lb": {3}}
+
+    def test_classic_carries_the_profile_pool(self):
+        profile = replace(ScaleProfile.smoke(), connection_pool_size=4)
+        (balanced, _) = TopologySpec.classic(profile).boundaries
+        assert balanced.pool_size == 4
+        direct = TopologySpec.classic(profile, use_balancer=False)
+        assert direct.boundaries[0].pool_size is None
+
+    def test_balancer_config_pool_size_is_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="BoundarySpec.pool_size"):
+            build_from_spec(
+                Environment(),
+                ExperimentConfig(bundle_key="current_load").spec(),
+                rng=np.random.default_rng(0),
+                balancer_config=BalancerConfig(pool_size=3))
 
 
 # -- CLI --------------------------------------------------------------------

@@ -15,7 +15,7 @@ from conftest import BENCH_SEED, banner
 from repro.analysis import table
 from repro.cluster import ScaleProfile, TopologySpec, build_from_spec
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
-from repro.core import BalancerConfig, OriginalGetEndpoint, make_policy
+from repro.core import OriginalGetEndpoint, make_policy
 from repro.netmodel import RetransmissionPolicy
 from repro.osmodel import GarbageCollectionSource, MillibottleneckProfile
 from repro.sim import Environment
@@ -41,8 +41,7 @@ def custom_run(policy_name: str, mechanism_factory, duration=DURATION,
         rng=rng,
         policy_factory=lambda: make_policy(policy_name),
         mechanism_factory=mechanism_factory,
-        balancer_config=BalancerConfig(
-            trace_lb_values=False, trace_dispatches=False),
+        trace_balancers=False,
     )
     if stall_source is not None:
         for tomcat in system.tiers["tomcat"]:
@@ -241,8 +240,7 @@ def test_ablation_bursty_workload_negative_control(benchmark):
             rng=rng,
             policy_factory=lambda: make_policy(policy_name),
             mechanism_factory=OriginalGetEndpoint,
-            balancer_config=BalancerConfig(
-                trace_lb_values=False, trace_dispatches=False),
+            trace_balancers=False,
         )
         generators = [
             OpenLoopGenerator(env, apache.socket, read_write_mix(),

@@ -22,6 +22,7 @@ from repro.analysis import (
     timeline,
 )
 from repro.cluster.scenarios import single_node_millibottleneck
+from repro.metrics import PAPER_WINDOW
 
 
 def test_fig2_millibottleneck_anatomy(benchmark):
@@ -63,7 +64,7 @@ def test_fig2_millibottleneck_anatomy(benchmark):
                    < record.ended_at + 0.6 for record in records)
     # (c)+(d) transient CPU saturations are iowait-induced and match
     # ground truth one for one.
-    detections = detect("tomcat1", tomcat_cpu, config.sample_window,
+    detections = detect("tomcat1", tomcat_cpu, PAPER_WINDOW,
                         iowait=tomcat_iowait, dirty=tomcat_dirty)
     tomcat_records = [r for r in records if r.host == "tomcat1"]
     tp, fp, fn = match_ground_truth(detections, tomcat_records)

@@ -62,7 +62,7 @@ def _measure_run_events() -> float:
     for _ in range(ROUNDS):
         config = ExperimentConfig(
             topology=spec, duration=RUN_DURATION, seed=42,
-            trace_lb_values=False, trace_dispatches=False)
+            trace_balancers=False)
         env = Environment()
         start = time.perf_counter()
         ExperimentRunner(config).run(env=env)

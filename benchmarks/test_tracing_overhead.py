@@ -45,7 +45,7 @@ def scenario_config(trace_requests: bool) -> ExperimentConfig:
                       flush_threshold_bytes=32e3)
     return ExperimentConfig(
         bundle_key="current_load", profile=profile, duration=6.0,
-        seed=99, trace_lb_values=False, trace_dispatches=False,
+        seed=99, trace_balancers=False,
         trace_requests=trace_requests)
 
 

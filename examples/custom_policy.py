@@ -17,7 +17,6 @@ import numpy as np
 from repro import ScaleProfile, TopologySpec, build_from_spec
 from repro.analysis import table
 from repro.core import (
-    BalancerConfig,
     OriginalGetEndpoint,
     Policy,
     make_mechanism,
@@ -71,8 +70,7 @@ def run(policy_factory, mechanism_factory, label, duration=10.0, seed=3):
         rng=rng,
         policy_factory=policy_factory,
         mechanism_factory=mechanism_factory,
-        balancer_config=BalancerConfig(
-            trace_lb_values=False, trace_dispatches=False),
+        trace_balancers=False,
     )
     population = ClientPopulation(
         env, [apache.socket for apache in system.frontends],

@@ -21,7 +21,6 @@ from repro import ExperimentConfig, ScaleProfile, build_from_spec
 from repro.analysis import table
 from repro.cluster import FaultInjector
 from repro.core import MemberState, StateConfig
-from repro.core.balancer import BalancerConfig
 from repro.netmodel import RetransmissionPolicy
 from repro.sim import Environment
 from repro.workload import ClientPopulation, read_write_mix
@@ -38,8 +37,6 @@ def main() -> None:
     system = build_from_spec(
         env, spec,
         rng=rng,
-        balancer_config=BalancerConfig(
-            trace_lb_values=False, trace_dispatches=True),
         state_config=StateConfig(busy_recheck=0.1, max_busy_retries=8,
                                  error_recovery=30.0),
     )
@@ -48,7 +45,7 @@ def main() -> None:
         total_clients=profile.clients, mix=read_write_mix(), rng=rng,
         think_time=profile.think_time,
         retransmission=RetransmissionPolicy())
-    injector = FaultInjector(env)
+    injector = FaultInjector(env, rng=np.random.default_rng(0))
     injector.crash_at(system.tiers["tomcat"][2], at=5.0)  # tomcat3 dies
 
     print("Running {}s with millibottlenecks on all Tomcats and a "

@@ -23,6 +23,7 @@ from repro.analysis import (
     timeline,
 )
 from repro.cluster.scenarios import single_node_millibottleneck
+from repro.metrics import PAPER_WINDOW
 
 
 def main() -> None:
@@ -66,7 +67,7 @@ def main() -> None:
         detections = detect(
             server,
             result.cpu_utilization(server),
-            config.sample_window,
+            PAPER_WINDOW,
             iowait=result.iowait(server),
             dirty=result.dirty_series[server],
         )

@@ -34,7 +34,7 @@ from repro.cluster.runner import (
 from repro.cluster.scenarios import Scenario
 from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import NTierSystem, build_from_spec
-from repro.core.balancer import BalancerConfig, DirectDispatcher, LoadBalancer
+from repro.core.balancer import DirectDispatcher, LoadBalancer
 from repro.core.mechanism import ModifiedGetEndpoint, OriginalGetEndpoint
 from repro.core.policies import (
     CurrentLoadPolicy,
@@ -78,7 +78,6 @@ __all__ = [
     # the contribution
     "LoadBalancer",
     "DirectDispatcher",
-    "BalancerConfig",
     "Policy",
     "TotalRequestPolicy",
     "TotalTrafficPolicy",

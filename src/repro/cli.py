@@ -216,8 +216,7 @@ def _cmd_controlplane(args: argparse.Namespace) -> int:
         profile=profile,
         duration=args.duration,
         seed=args.seed,
-        trace_lb_values=False,
-        trace_dispatches=False,
+        trace_balancers=False,
         faults=fault_specs(args.fault, args.duration),
     )
     baseline = ExperimentRunner(config).run()

@@ -52,11 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import NTierSystem
     from repro.sim.core import Environment
 
-#: Seed of the generator :class:`FaultInjector` falls back to when the
-#: caller does not inject one; experiments always inject a stream
-#: derived from the run's seed (see ``ExperimentRunner.run``).
-DEFAULT_FAULT_SEED = 0
-
 _INF = float("inf")
 
 
@@ -248,15 +243,15 @@ class FaultInjector:
     env:
         Simulation environment.
     rng:
-        Seeded generator driving jitter and recurring schedules; when
-        omitted, a generator seeded with :data:`DEFAULT_FAULT_SEED`
-        keeps ad-hoc use deterministic.
+        Seeded generator driving jitter and recurring schedules;
+        experiments pass a stream derived from the run's seed (see
+        ``ExperimentRunner.run``).
     """
 
-    def __init__(self, env: "Environment",
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, env: "Environment", *,
+                 rng: np.random.Generator) -> None:
         self.env = env
-        self._rng = rng or np.random.default_rng(DEFAULT_FAULT_SEED)
+        self._rng = rng
         #: Crash ground truth, appended at crash time.
         self.records: list[CrashRecord] = []
         #: Fail-slow ground truth.

@@ -97,7 +97,7 @@ class GeoSuite(Grid):
             raise ConfigurationError("duration must be positive")
         super().__init__(
             ExperimentConfig(duration=duration, seed=seed,
-                             trace_lb_values=False, trace_dispatches=False),
+                             trace_balancers=False),
             {"topology": {
                 key: {"topology": TopologySpec.geo(
                     hierarchy=key == "geo", disk_bandwidth=disk_bandwidth,

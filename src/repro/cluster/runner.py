@@ -25,7 +25,6 @@ from repro.cluster.faults import FaultInjector, FaultSpec, fault_horizon
 from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import NTierSystem, build_from_spec
 from repro.controlplane import ControlPlaneConfig
-from repro.core.balancer import BalancerConfig
 from repro.core.remedies import RemedyBundle, get_bundle
 from repro.errors import ConfigurationError
 from repro.metrics.recorder import ResponseTimeRecorder
@@ -35,7 +34,7 @@ from repro.metrics.windows import PAPER_WINDOW
 from repro.netmodel.tcp import RetransmissionPolicy
 from repro.resilience import ResilienceConfig
 from repro.sim.core import Environment
-from repro.sim.monitor import MonitorHub, Sampler
+from repro.sim.monitor import Sampler
 from repro.tiers.cache import CacheTier
 from repro.tracing.spans import SpanTracer
 from repro.workload.generator import ClientPopulation
@@ -67,9 +66,9 @@ class ExperimentConfig:
     #: Whether the classic shape's app-tier hosts flush (a given
     #: ``topology`` declares its own :class:`FlushSpec`s instead).
     tomcat_millibottlenecks: bool = True
-    sample_window: float = PAPER_WINDOW
-    trace_lb_values: bool = True
-    trace_dispatches: bool = True
+    #: Record every balancer's dispatch and pick logs and every
+    #: member's lb_value series (Figs. 6(c)/9(b)/10(b)/13(b)).
+    trace_balancers: bool = True
     sample_dirty_pages: bool = False
     #: Declarative fault specs injected against the built system (see
     #: :mod:`repro.cluster.faults`); empty means a fault-free run.
@@ -84,12 +83,6 @@ class ExperimentConfig:
     #: Off by default: tracing is pure observation (the event schedule
     #: is identical either way) but retains every span in memory.
     trace_requests: bool = False
-    #: Drain all samplers from one :class:`~repro.sim.monitor.MonitorHub`
-    #: tick instead of one process per sampler.  Off by default — the
-    #: per-sampler timeout events are part of the pinned golden event
-    #: trace — but essential at the large-N axis, where per-replica
-    #: samplers would otherwise dominate the schedule.
-    batched_sampling: bool = False
     #: Declarative topology to build instead of the classic 3-tier
     #: shape.  Balanced boundaries without a bundle of their own take
     #: ``bundle_key``.
@@ -98,8 +91,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
-        if self.sample_window <= 0:
-            raise ConfigurationError("sample_window must be positive")
         if self.topology is not None and (
                 self.profile != ScaleProfile()
                 or not self.tomcat_millibottlenecks):
@@ -186,27 +177,24 @@ class ExperimentResult:
 
     # -- fine-grained views -------------------------------------------------
     def cpu_utilization(self, server_name: str,
-                        window: Optional[float] = None) -> TimeSeries:
+                        window: float = PAPER_WINDOW) -> TimeSeries:
         """Exact fine-grained CPU utilisation of one server's host."""
         server = self.system.server_named(server_name)
-        return server.host.cpu.utilization_series(
-            window or self.config.sample_window, self.duration)
+        return server.host.cpu.utilization_series(window, self.duration)
 
     def iowait(self, server_name: str,
-               window: Optional[float] = None) -> TimeSeries:
+               window: float = PAPER_WINDOW) -> TimeSeries:
         """Exact fine-grained iowait of one server's host (Fig. 2(d))."""
         server = self.system.server_named(server_name)
-        return server.host.cpu.iowait_series(
-            window or self.config.sample_window, self.duration)
+        return server.host.cpu.iowait_series(window, self.duration)
 
     def vlrt_windows(self) -> TimeSeries:
         """VLRT count per 50 ms window (Figs. 2(a)/6(a)/7(a))."""
-        return self.recorder.vlrt_windows(self.config.sample_window,
-                                          until=self.duration)
+        return self.recorder.vlrt_windows(PAPER_WINDOW, until=self.duration)
 
     def point_in_time_rt(self) -> TimeSeries:
         """Point-in-time response time (Figs. 1/3)."""
-        return self.recorder.point_in_time(self.config.sample_window)
+        return self.recorder.point_in_time(PAPER_WINDOW)
 
     def average_cpu(self) -> dict[str, float]:
         """Whole-run average CPU per server (Fig. 5)."""
@@ -455,13 +443,9 @@ class ExperimentRunner:
         rng = np.random.default_rng(config.seed)
         spec = config.spec()
 
-        balancer_config = BalancerConfig(
-            trace_lb_values=config.trace_lb_values,
-            trace_dispatches=config.trace_dispatches,
-        )
         system = build_from_spec(
             env, spec, rng=rng,
-            balancer_config=balancer_config,
+            trace_balancers=config.trace_balancers,
             resilience=config.resilience,
         )
 
@@ -488,20 +472,16 @@ class ExperimentRunner:
                    if config.resilience is not None else None),
         )
 
-        hub = (MonitorHub(env, period=config.sample_window)
-               if config.batched_sampling else None)
         queue_samplers = {
-            server.name: Sampler(env, _probe(server),
-                                 period=config.sample_window,
-                                 name=server.name, hub=hub)
+            server.name: Sampler(env, _probe(server), period=PAPER_WINDOW,
+                                 name=server.name)
             for server in system.servers
         }
         dirty_samplers = {}
         if config.sample_dirty_pages:
             dirty_samplers = {
                 host.name: Sampler(env, _dirty_probe(host),
-                                   period=config.sample_window,
-                                   name=host.name, hub=hub)
+                                   period=PAPER_WINDOW, name=host.name)
                 for host in system.hosts
             }
 
@@ -625,7 +605,7 @@ def compare_policies(bundle_keys, profile: Optional[ScaleProfile] = None,
     """
     base = ExperimentConfig(
         profile=profile or ScaleProfile(), duration=duration, seed=seed,
-        trace_lb_values=trace, trace_dispatches=trace)
+        trace_balancers=trace)
     grid = Grid(base, {"bundle": {key: {"bundle_key": key}
                                   for key in bundle_keys}})
     return [run for _, run in grid.run(workers=workers, mix=mix)]

@@ -83,8 +83,7 @@ def policy_run(bundle_key: str, duration: float = FIGURE_DURATION,
         profile=ScaleProfile(),
         duration=duration,
         seed=seed,
-        trace_lb_values=trace,
-        trace_dispatches=trace,
+        trace_balancers=trace,
     )
 
 
@@ -250,8 +249,7 @@ class ChaosSuite(Grid):
         self.duration = duration
         super().__init__(ExperimentConfig(
             profile=profile or ScaleProfile(), topology=topology,
-            duration=duration, seed=seed,
-            trace_lb_values=False, trace_dispatches=False), {
+            duration=duration, seed=seed, trace_balancers=False), {
             "fault": {key: {"faults": fault_specs(key, duration)}
                       for key in self.fault_keys},
             "remedy": {key: dict(zip(("resilience", "controlplane"),
@@ -305,7 +303,7 @@ class PolicyRematch(Grid):
         super().__init__(
             ExperimentConfig(profile=profile or ScaleProfile.smoke(),
                              duration=duration, seed=seed,
-                             trace_lb_values=False, trace_dispatches=False),
+                             trace_balancers=False),
             {"bundle": {key: {"bundle_key": key} for key in bundle_keys},
              "fault": {key: {"faults": fault_specs(key, duration)}
                        for key in fault_keys}})

@@ -11,7 +11,7 @@ case: it is the spec :meth:`TopologySpec.classic` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -21,12 +21,7 @@ from repro.controlplane.admission import TokenBucketAdmission
 from repro.controlplane.autoscaler import ReactiveAutoscaler
 from repro.controlplane.bulkhead import Bulkhead
 from repro.controlplane.leveling import LevelingDispatcher, LevelingQueue
-from repro.core.balancer import (
-    BalancerConfig,
-    DirectDispatcher,
-    LoadBalancer,
-    ZoneRouter,
-)
+from repro.core.balancer import DirectDispatcher, LoadBalancer, ZoneRouter
 from repro.core.mechanism import GetEndpointMechanism
 from repro.core.policies import Policy
 from repro.core.remedies import get_bundle
@@ -154,7 +149,7 @@ def build_from_spec(
     spec: TopologySpec,
     *,
     rng: np.random.Generator,
-    balancer_config: Optional[BalancerConfig] = None,
+    trace_balancers: bool = True,
     state_config: Optional[StateConfig] = None,
     policy_factory: Optional[Callable[[], Policy]] = None,
     mechanism_factory: Optional[Callable[[], GetEndpointMechanism]] = None,
@@ -165,16 +160,13 @@ def build_from_spec(
     ``rng`` is the experiment's seeded generator, the one source of
     the build's randomness.  Endpoint pools come from the boundaries'
     ``pool_size`` (:data:`BOUNDARY_POOL_SIZE` when unset).
+    ``trace_balancers`` gives every balancer its dispatch and pick logs
+    and every member its lb_value series (Figs. 6(c)/9(b)/10(b)/13(b)).
 
     ``policy_factory``/``mechanism_factory`` and ``resilience``
     override the *frontend* boundary; every other balanced boundary
     takes its bundle from the spec.
     """
-    config = balancer_config or BalancerConfig()
-    if config.pool_size != BalancerConfig.pool_size:
-        raise ConfigurationError("set endpoint pools as BoundarySpec."
-                                 "pool_size, not in balancer_config")
-
     system = NTierSystem(
         env=env, spec=spec,
         tier_names=tuple(tier.name for tier in spec.tiers),
@@ -201,14 +193,14 @@ def build_from_spec(
             for server in servers:
                 server.attach_dispatcher(_make_dispatcher(
                     env, system, server.name, server.zone, boundary,
-                    downstream, depth, config, state_config, rng,
+                    downstream, depth, trace_balancers, state_config, rng,
                     policy_factory, mechanism_factory, resilience))
             _wire_frontend_controlplane(env, system, tier, boundary,
                                         servers)
         elif tier.service in ("worker", "cache"):
             make_replica = _worker_factory(
-                env, system, spec, depth, config, state_config, rng,
-                policy_factory, mechanism_factory, resilience)
+                env, system, spec, depth, trace_balancers, state_config,
+                rng, policy_factory, mechanism_factory, resilience)
             for index in range(tier.replicas):
                 make_replica(index)
         else:  # pooled
@@ -225,8 +217,9 @@ def build_from_spec(
     return system
 
 
-def _worker_factory(env, system, spec, depth, config, state_config, rng,
-                    policy_factory, mechanism_factory, resilience):
+def _worker_factory(env, system, spec, depth, trace_balancers,
+                    state_config, rng, policy_factory, mechanism_factory,
+                    resilience):
     """A closure that builds one more replica of the worker tier at
     ``depth``, appends it to the system and joins it (cold) to every
     dispatcher feeding the tier.
@@ -252,7 +245,7 @@ def _worker_factory(env, system, spec, depth, config, state_config, rng,
         else:
             tier_downstream = DispatchDownstream(_make_dispatcher(
                 env, system, host.name, zone, boundary, downstream,
-                depth, config, state_config, rng,
+                depth, trace_balancers, state_config, rng,
                 policy_factory, mechanism_factory, resilience))
         if tier.service == "cache":
             cache = tier.effective_cache
@@ -426,8 +419,7 @@ def _wan_profile_between(spec: TopologySpec, zone_a: str,
 
 
 def _link_factory_for(env, system, owner_name: str,
-                      owner_zone: Optional[str], boundary, rng,
-                      link_latency: float = 0.0002):
+                      owner_zone: Optional[str], boundary, rng):
     """Build the member-link factory for one upstream server's dispatcher.
 
     Returns ``None`` when every hop is intra-zone with no boundary
@@ -456,8 +448,7 @@ def _link_factory_for(env, system, owner_name: str,
             # hop on the boundary is a (uniform) WAN hop.
             profile_spec = boundary.link
         if profile_spec is None:
-            return Link(env, link_latency,
-                        name="{}->{}".format(owner_name, server.name))
+            return Link(env, name="{}->{}".format(owner_name, server.name))
         link_name = "{}=>{}".format(owner_name, server.name)
         link = Link(env, profile_spec.latency, name=link_name,
                     profile=profile_spec.runtime(name=link_name),
@@ -479,15 +470,13 @@ def _make_host(env: "Environment", tier: TierSpec, index: int) -> Host:
 
 
 def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
-                     downstream, depth, config, state_config, rng,
+                     downstream, depth, trace_balancers, state_config, rng,
                      policy_factory, mechanism_factory, resilience):
     """One upstream server's dispatcher over the next tier's replicas."""
     link_factory = _link_factory_for(env, system, owner_name, owner_zone,
-                                     boundary, rng,
-                                     link_latency=config.link_latency)
+                                     boundary, rng)
     if boundary.mode == "direct":
         dispatcher = DirectDispatcher(env, list(downstream),
-                                      link_latency=config.link_latency,
                                       link_factory=link_factory)
         system.direct_dispatchers.append(dispatcher)
         system.dispatchers_by_depth.setdefault(depth, []).append(dispatcher)
@@ -501,16 +490,13 @@ def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
             virtual_nodes=shard.virtual_nodes,
             key_space=shard.key_space,
             skew=shard.skew,
-            link_factory=link_factory,
-            link_latency=config.link_latency)
+            link_factory=link_factory)
         system.shard_routers.append(dispatcher)
         system.dispatchers_by_depth.setdefault(depth, []).append(dispatcher)
         return _maybe_level(env, system, owner_name, boundary, depth,
                             dispatcher)
     make_policy, make_mechanism = _boundary_factories(
         boundary, depth, policy_factory, mechanism_factory)
-    boundary_config = replace(
-        config, pool_size=boundary.pool_size or BOUNDARY_POOL_SIZE)
     weights = system.spec.tiers[depth + 1].weights
     boundary_resilience = _boundary_resilience(boundary, depth, resilience)
 
@@ -528,7 +514,8 @@ def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
             policy=policy,
             mechanism=make_mechanism(),
             rng=rng,
-            config=boundary_config,
+            pool_size=boundary.pool_size or BOUNDARY_POOL_SIZE,
+            trace=trace_balancers,
             state_config=state_config,
             weights=zone_weights,
             link_factory=link_factory,

@@ -12,7 +12,7 @@ under millibottlenecks, and the two remedies.
   per-Apache :class:`LoadBalancer` that ties it all together.
 """
 
-from repro.core.balancer import BalancerConfig, DirectDispatcher, LoadBalancer
+from repro.core.balancer import DirectDispatcher, LoadBalancer
 from repro.core.mechanism import (
     DEFAULT_CACHE_ACQUIRE_TIMEOUT,
     DEFAULT_JK_SLEEP,
@@ -54,7 +54,6 @@ from repro.core.states import MemberState, StateConfig
 __all__ = [
     "LoadBalancer",
     "DirectDispatcher",
-    "BalancerConfig",
     "BalancerMember",
     "Endpoint",
     "MemberState",

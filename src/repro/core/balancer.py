@@ -12,7 +12,6 @@ used by the paper's §III-B single-node experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -33,31 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.tiers.base import TierServer
 
 
-@dataclass(frozen=True)
-class BalancerConfig:
-    """Per-balancer wiring knobs.
-
-    ``retry_pause`` is the small delay inserted after a failed endpoint
-    acquisition before re-ranking candidates; it models the worker
-    thread bouncing back through the scheduler (and keeps an
-    immediate-failure mechanism from spinning in zero simulated time).
-    """
-
-    pool_size: int = DEFAULT_POOL_SIZE
-    link_latency: float = 0.0002
-    retry_pause: float = 0.002
-    trace_lb_values: bool = True
-    trace_dispatches: bool = True
-    #: Whether AJP connections start established (warm keep-alive pool).
-    preconnect: bool = True
-
-    def __post_init__(self) -> None:
-        if self.pool_size < 1:
-            raise ConfigurationError("pool_size must be >= 1")
-        if self.link_latency < 0:
-            raise ConfigurationError("link_latency must be >= 0")
-        if self.retry_pause <= 0:
-            raise ConfigurationError("retry_pause must be positive")
+#: Pause after a failed endpoint acquisition (or an open breaker)
+#: before re-ranking candidates: it models the worker thread bouncing
+#: back through the scheduler, and keeps an immediate-failure mechanism
+#: from spinning in zero simulated time.
+RETRY_PAUSE = 0.002
 
 
 class LoadBalancer:
@@ -68,13 +47,16 @@ class LoadBalancer:
                  policy: Policy,
                  mechanism: GetEndpointMechanism,
                  rng: np.random.Generator,
-                 config: BalancerConfig | None = None,
+                 pool_size: int = DEFAULT_POOL_SIZE,
+                 trace: bool = True,
                  state_config: StateConfig | None = None,
                  weights: Optional[Sequence[float]] = None,
                  link_factory: Optional[Callable[[object], Link]] = None
                  ) -> None:
         if not backends:
             raise ConfigurationError("balancer needs at least one backend")
+        if pool_size < 1:
+            raise ConfigurationError("pool_size must be >= 1")
         if weights is not None:
             if len(weights) != len(backends):
                 raise ConfigurationError(
@@ -86,9 +68,10 @@ class LoadBalancer:
         self.name = name
         self.policy = policy
         self.mechanism = mechanism
-        self.config = config or BalancerConfig()
         self._rng = rng
         # Kept for members added after construction (autoscaling).
+        self._pool_size = pool_size
+        self._trace = trace
         self._state_config = state_config
         #: Builds the member link for a backend; ``None`` keeps the
         #: legacy fixed-latency intra-cluster link.  The topology
@@ -98,24 +81,21 @@ class LoadBalancer:
         self.members = [
             BalancerMember(
                 env, server, index,
-                pool_size=self.config.pool_size,
+                pool_size=pool_size,
                 state_config=state_config,
                 link=self._make_link(server),
-                trace_lb_values=self.config.trace_lb_values,
-                preconnect=self.config.preconnect,
+                trace=trace,
             )
             for index, server in enumerate(backends)
         ]
         #: (time, backend-name) per successful dispatch (Figs. 6c/9b/13b).
         self.dispatch_trace: Optional[TraceLog] = (
-            TraceLog(env, name + ".dispatch")
-            if self.config.trace_dispatches else None)
+            TraceLog(env, name + ".dispatch") if trace else None)
         #: (time, backend-name) per *pick* — including picks whose
         #: worker then blocks inside get_endpoint.  During phase 2 the
         #: pick trace shows the full funnel onto the stalled member.
         self.pick_trace: Optional[TraceLog] = (
-            TraceLog(env, name + ".pick")
-            if self.config.trace_dispatches else None)
+            TraceLog(env, name + ".pick") if trace else None)
         self.dispatches = 0
         self.endpoint_failures = 0
         #: Members removed by scale-down; kept for accounting (their
@@ -146,8 +126,7 @@ class LoadBalancer:
     def _make_link(self, server) -> Link:
         if self._link_factory is not None:
             return self._link_factory(server)
-        return Link(self.env, self.config.link_latency,
-                    name="{}->{}".format(self.name, server.name))
+        return Link(self.env, name="{}->{}".format(self.name, server.name))
 
     def _member_state_changed(self, member: BalancerMember) -> None:
         self._all_available = all(
@@ -167,10 +146,10 @@ class LoadBalancer:
         """
         member = BalancerMember(
             self.env, server, self._member_serial,
-            pool_size=self.config.pool_size,
+            pool_size=self._pool_size,
             state_config=self._state_config,
             link=self._make_link(server),
-            trace_lb_values=self.config.trace_lb_values,
+            trace=self._trace,
             preconnect=preconnect,
         )
         self._member_serial += 1
@@ -295,12 +274,12 @@ class LoadBalancer:
                     # breaker-open.
                     self.breaker_rejections += 1
                     if tracer is None:
-                        yield self.env.timeout(self.config.retry_pause)
+                        yield self.env.timeout(RETRY_PAUSE)
                     else:
                         pause = tracer.start(request.request_id,
                                              "balancer.breaker_pause",
                                              member=member.name)
-                        yield self.env.timeout(self.config.retry_pause)
+                        yield self.env.timeout(RETRY_PAUSE)
                         tracer.finish(pause)
                     continue
                 self.policy.on_pick(member, request)
@@ -327,12 +306,12 @@ class LoadBalancer:
                     member.mark_busy()
                     self.endpoint_failures += 1
                     if tracer is None:
-                        yield self.env.timeout(self.config.retry_pause)
+                        yield self.env.timeout(RETRY_PAUSE)
                     else:
                         pause = tracer.start(request.request_id,
                                              "balancer.retry_pause",
                                              member=member.name)
-                        yield self.env.timeout(self.config.retry_pause)
+                        yield self.env.timeout(RETRY_PAUSE)
                         tracer.finish(pause)
                     continue
                 yield from self._send(member, endpoint, request)
@@ -431,7 +410,6 @@ class DirectDispatcher:
 
     def __init__(self, env: "Environment",
                  backend: "TierServer" | Sequence["TierServer"],
-                 link_latency: float = 0.0002,
                  link_factory: Optional[Callable[[object], Link]] = None
                  ) -> None:
         backends = (list(backend) if isinstance(backend, Sequence)
@@ -441,7 +419,6 @@ class DirectDispatcher:
                 "direct dispatcher needs at least one backend")
         self.env = env
         self.backends = backends
-        self._link_latency = link_latency
         self._link_factory = link_factory
         self.links = [self._make_link(server) for server in backends]
         self.dispatches = 0
@@ -449,8 +426,7 @@ class DirectDispatcher:
     def _make_link(self, server) -> Link:
         if self._link_factory is not None:
             return self._link_factory(server)
-        return Link(self.env, self._link_latency,
-                    name="direct->" + server.name)
+        return Link(self.env, name="direct->" + server.name)
 
     def add_backend(self, server) -> None:
         """Join ``server`` to the static round-robin rotation."""
@@ -466,10 +442,6 @@ class DirectDispatcher:
         position = self.backends.index(server)
         self.backends.pop(position)
         self.links.pop(position)
-
-    @property
-    def link(self) -> Link:
-        return self.links[0]
 
     def dispatch(self, request: Request):
         """Process generator: forward ``request`` to the next backend."""

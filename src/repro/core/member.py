@@ -54,7 +54,7 @@ class BalancerMember:
                  pool_size: int = DEFAULT_POOL_SIZE,
                  state_config: StateConfig | None = None,
                  link: Link | None = None,
-                 trace_lb_values: bool = True,
+                 trace: bool = True,
                  preconnect: bool = True) -> None:
         self.env = env
         self.server = server
@@ -75,7 +75,7 @@ class BalancerMember:
         self._lb_value = 0.0
         #: (time, lb_value) trace for Figs. 10(b)/11(b).
         self.lb_trace: Optional[TimeSeries] = (
-            TimeSeries(server.name + ".lb") if trace_lb_values else None)
+            TimeSeries(server.name + ".lb") if trace else None)
         #: Dispatch/completion counters.
         self.dispatched = 0
         self.completed = 0

@@ -4,17 +4,12 @@ The paper's methodology rests on *fine-grained* monitoring: queue
 lengths, CPU utilisation and dirty-page sizes sampled at 50 ms windows.
 :class:`Sampler` runs a probe function on a fixed period and records
 ``(time, value)`` pairs; :class:`TraceLog` records discrete events.
-
-Both are cheap when disabled: a :class:`Sampler` created with
-``enabled=False`` never starts its sampling process (no timeout events
-enter the kernel heap at all), and a disabled :class:`TraceLog` reduces
-:meth:`TraceLog.log` to a single flag check so call sites do not need
-``is not None`` guards.
+Neither has an off switch: a caller that wants no record builds none.
 
 Batched sampling
 ----------------
-Each enabled :class:`Sampler` costs one generator process plus one
-timeout event per tick.  At paper scale (a handful of servers) that is
+Each :class:`Sampler` costs one generator process plus one timeout
+event per tick.  At paper scale (a handful of servers) that is
 noise; at the large-N axis (500+ replicas, each with a queue-length
 probe) the samplers alone inject tens of thousands of events per
 simulated second.  A :class:`MonitorHub` amortises this: *one*
@@ -103,23 +98,18 @@ class Sampler:
         Sampling period in seconds (default 50 ms, the paper's window).
     name:
         Label used in reports.
-    enabled:
-        When ``False`` the sampler records nothing and — crucially for
-        kernel throughput — schedules nothing: the sampling process is
-        never started.
     hub:
-        When given (and ``enabled``), the sampler owns no process at
-        all: it is attached to the :class:`MonitorHub`, which drains
-        its probe on the hub's shared tick.  ``period`` is ignored in
+        When given, the sampler owns no process at all: it is
+        attached to the :class:`MonitorHub`, which drains its probe on
+        the hub's shared tick.  ``period`` is ignored in
         favour of the hub's.
     """
 
-    __slots__ = ("env", "probe", "period", "name", "enabled", "times",
-                 "values", "_process")
+    __slots__ = ("env", "probe", "period", "name", "times", "values",
+                 "_process")
 
     def __init__(self, env: "Environment", probe: Callable[[], Any],
                  period: float = 0.050, name: str = "",
-                 enabled: bool = True,
                  hub: Optional[MonitorHub] = None) -> None:
         if period <= 0:
             raise ValueError("period must be positive")
@@ -127,12 +117,9 @@ class Sampler:
         self.probe = probe
         self.period = period if hub is None else hub.period
         self.name = name
-        self.enabled = enabled
         self.times: list[float] = []
         self.values: list[Any] = []
-        if not enabled:
-            self._process = None
-        elif hub is not None:
+        if hub is not None:
             self._process = None
             hub.attach(self)
         else:
@@ -165,19 +152,16 @@ class Sampler:
 class TraceLog:
     """Append-only log of ``(time, payload)`` records."""
 
-    __slots__ = ("env", "name", "enabled", "records")
+    __slots__ = ("env", "name", "records")
 
-    def __init__(self, env: "Environment", name: str = "",
-                 enabled: bool = True) -> None:
+    def __init__(self, env: "Environment", name: str = "") -> None:
         self.env = env
         self.name = name
-        self.enabled = enabled
         self.records: list[tuple[float, Any]] = []
 
     def log(self, payload: Any) -> None:
         """Record ``payload`` at the current simulated time."""
-        if self.enabled:
-            self.records.append((self.env.now, payload))
+        self.records.append((self.env.now, payload))
 
     def between(self, start: float, end: float) -> list[tuple[float, Any]]:
         """Records with ``start <= time < end``."""

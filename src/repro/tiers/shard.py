@@ -48,8 +48,8 @@ class ShardRouter:
                  virtual_nodes: int = 64,
                  key_space: int = 1024,
                  skew: float = 0.0,
-                 link_factory: Optional[Callable[[object], Link]] = None,
-                 link_latency: float = 0.0002) -> None:
+                 link_factory: Optional[Callable[[object], Link]] = None
+                 ) -> None:
         backends = list(backends)
         if not backends:
             raise ConfigurationError(
@@ -65,7 +65,6 @@ class ShardRouter:
         self.skew = skew
         self._rng = rng
         self._link_factory = link_factory
-        self._link_latency = link_latency
         self.backends = backends
         self.links = [self._make_link(server) for server in backends]
         #: Shards removed by retire; counts stay part of the totals.
@@ -87,8 +86,7 @@ class ShardRouter:
     def _make_link(self, server) -> Link:
         if self._link_factory is not None:
             return self._link_factory(server)
-        return Link(self.env, self._link_latency,
-                    name="{}->{}".format(self.name, server.name))
+        return Link(self.env, name="{}->{}".format(self.name, server.name))
 
     # -- ring ----------------------------------------------------------------
     def _rebuild_ring(self) -> None:

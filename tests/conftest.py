@@ -50,5 +50,5 @@ def starved_packet_loss():
         bundle_key="original_total_request",
         profile=replace(ScaleProfile(), tomcat_disk_bandwidth=4e6),
         duration=12.0, seed=42,
-        trace_lb_values=False, trace_dispatches=False,
+        trace_balancers=False,
         faults=fault_specs("packet_loss", 12.0))

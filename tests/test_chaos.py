@@ -141,8 +141,7 @@ class TestSuiteConstruction:
             assert config.duration == 7.0
             assert config.seed == 9
             assert config.profile == profile
-            assert not config.trace_dispatches
-            assert not config.trace_lb_values
+            assert not config.trace_balancers
 
     def test_controlplane_remedy_wiring(self):
         """A control-plane remedy key sets ``config.controlplane`` and
@@ -290,7 +289,7 @@ class TestAcceptance:
                            bundle_keys=["current_load_modified"])
         ((_, config),) = suite.cells()
         (spec,) = config.faults
-        config = replace(config, trace_dispatches=True)
+        config = replace(config, trace_balancers=True)
         result = ExperimentRunner(config).run()
         # The run actually exhibited millibottlenecks.
         assert len(result.system.millibottleneck_records()) > 0

@@ -156,7 +156,7 @@ class TestScenarios:
         config = Scenario.named("table1/current_load")
         assert isinstance(config, ExperimentConfig)
         assert config.bundle_key == "current_load"
-        assert not config.trace_lb_values  # table runs skip tracing
+        assert not config.trace_balancers  # table runs skip tracing
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigurationError):
@@ -177,15 +177,13 @@ class TestScenarios:
 
     def test_policy_run_traces(self):
         config = policy_run("current_load")
-        assert config.trace_lb_values
+        assert config.trace_balancers
         with pytest.raises(ConfigurationError):
             policy_run("nope")
 
     def test_experiment_config_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(duration=0)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(sample_window=0)
 
     def test_flush_flag_with_topology_rejected(self):
         """A topology's FlushSpecs decide its flushing, so the classic

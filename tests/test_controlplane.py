@@ -539,7 +539,7 @@ class TestAutoscaler:
             profile = replace(profile, clients=clients)
         experiment = ExperimentConfig(
             profile=profile, duration=duration, seed=11,
-            trace_lb_values=False, trace_dispatches=False,
+            trace_balancers=False,
             faults=faults,
             controlplane=ControlPlaneConfig(autoscaler=config))
         return ExperimentRunner(experiment).run()
@@ -642,7 +642,7 @@ def traced_run(seed, controlplane=None):
                       flush_threshold_bytes=32e3)
     config = ExperimentConfig(
         bundle_key="current_load", profile=profile, duration=4.0,
-        seed=seed, trace_lb_values=False, trace_dispatches=False,
+        seed=seed, trace_balancers=False,
         controlplane=controlplane)
     ExperimentRunner(config).run(env=env)
     payload = "\n".join("{!r} {}".format(when, name)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BalancerConfig,
     DirectDispatcher,
     LoadBalancer,
     MemberState,
@@ -108,10 +107,11 @@ class TestDispatch:
 
     def test_traces_disabled(self):
         env = Environment()
-        balancer = make_balancer(
-            env, config=BalancerConfig(trace_dispatches=False))
+        balancer = make_balancer(env, trace=False)
         dispatch_n(env, balancer, 2)
         assert balancer.dispatch_trace is None
+        assert balancer.pick_trace is None
+        assert all(m.lb_trace is None for m in balancer.members)
         with pytest.raises(ConfigurationError):
             balancer.distribution_between(0, 1)
         with pytest.raises(ConfigurationError):
@@ -145,9 +145,7 @@ class TestBusyHandling:
     def test_failed_endpoint_marks_busy_and_moves_on(self):
         env = Environment()
         backends = make_backends(env, count=2)
-        balancer = make_balancer(
-            env, backends=backends,
-            config=BalancerConfig(pool_size=1))
+        balancer = make_balancer(env, backends=backends, pool_size=1)
         # Exhaust tomcat1's endpoint pool.
         member1 = balancer.members[0]
         member1.try_acquire()
@@ -254,7 +252,7 @@ class TestBusyHandling:
         backends = make_backends(env, count=1)
         balancer = make_balancer(
             env, backends=backends,
-            config=BalancerConfig(pool_size=1),
+            pool_size=1,
             state_config=StateConfig(busy_recheck=0.01,
                                      max_busy_retries=2,
                                      error_recovery=60.0))

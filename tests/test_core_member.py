@@ -210,7 +210,7 @@ class TestLbValueTrace:
                            max_connections=48)
         tomcat = WorkerTier(env, "t", Host(env, "t"), max_threads=2,
                             downstream=InlineDownstream(mysql))
-        member = BalancerMember(env, tomcat, 0, trace_lb_values=False)
+        member = BalancerMember(env, tomcat, 0, trace=False)
         member.lb_value = 5.0
         assert member.lb_trace is None
         assert member.lb_value == 5.0

@@ -38,8 +38,7 @@ def build_members(count=4):
         name = "tomcat{}".format(i + 1)
         tomcat = WorkerTier(env, name, Host(env, name), max_threads=2,
                             downstream=InlineDownstream(mysql))
-        members.append(BalancerMember(env, tomcat, index=i,
-                                      trace_lb_values=False))
+        members.append(BalancerMember(env, tomcat, index=i, trace=False))
     return env, members
 
 

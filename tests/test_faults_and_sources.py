@@ -16,7 +16,6 @@ from repro.cluster import (
     build_from_spec,
 )
 from repro.core import MemberState, StateConfig
-from repro.core.balancer import BalancerConfig
 from repro.errors import ConfigurationError
 from repro.osmodel import (
     DvfsSource,
@@ -103,8 +102,6 @@ class TestFaultInjector:
         system = build_from_spec(
             env, classic_spec(profile, tomcat_millibottlenecks=False),
             rng=np.random.default_rng(0),
-            balancer_config=BalancerConfig(
-                trace_lb_values=False, trace_dispatches=True),
             state_config=StateConfig(busy_recheck=0.05,
                                      max_busy_retries=4,
                                      error_recovery=error_recovery),
@@ -119,7 +116,7 @@ class TestFaultInjector:
     def test_crash_escalates_to_error_and_routes_around(self):
         env = Environment()
         system, population = self.make_system(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.crash_at(system.tiers["tomcat"][0], at=3.0)
         env.run(until=8.0)
         # Every balancer eventually ejects the dead member...
@@ -136,7 +133,7 @@ class TestFaultInjector:
     def test_recovery_restores_service(self):
         env = Environment()
         system, population = self.make_system(env, error_recovery=1.0)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.crash_at(system.tiers["tomcat"][0], at=2.0, duration=2.0)
         env.run(until=10.0)
         record = injector.records[0]
@@ -162,7 +159,8 @@ class TestFaultInjector:
             env, [a.socket for a in system.frontends],
             total_clients=profile.clients, mix=read_write_mix(),
             rng=np.random.default_rng(0), think_time=profile.think_time)
-        FaultInjector(env).crash_at(system.tiers["tomcat"][1], at=3.0)
+        FaultInjector(env, rng=np.random.default_rng(0)).crash_at(
+            system.tiers["tomcat"][1], at=3.0)
         env.run(until=10.0)
         assert len(system.millibottleneck_records()) > 0
         for balancer in system.balancers:
@@ -173,7 +171,7 @@ class TestFaultInjector:
 
     def test_validation(self):
         env = Environment(initial_time=5.0)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         host = Host(env, "h")
         from repro.tiers import PooledTier
         server = PooledTier(env, "m", host, max_connections=48)
@@ -204,7 +202,7 @@ class TestFaultZoo:
     def test_crash_record_appended_at_crash_time(self):
         env = Environment()
         server = self.make_server(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.crash_at(server, at=1.0, duration=2.0)
         env.run(until=0.5)
         assert injector.records == []
@@ -219,7 +217,7 @@ class TestFaultZoo:
     def test_overlapping_crash_windows_rejected(self):
         env = Environment()
         server = self.make_server(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.crash_at(server, at=1.0, duration=2.0)
         with pytest.raises(ConfigurationError):
             injector.crash_at(server, at=2.0, duration=1.0)
@@ -228,13 +226,13 @@ class TestFaultZoo:
             injector.crash_at(server, at=0.5)
         # Disjoint windows are fine; other servers are independent.
         injector.crash_at(server, at=4.0, duration=0.5)
-        other = FaultInjector(env)
+        other = FaultInjector(env, rng=np.random.default_rng(0))
         other.crash_at(self.make_server(env), at=1.5, duration=1.0)
 
     def test_permanent_overlap_rejected_after_permanent(self):
         env = Environment()
         server = self.make_server(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.crash_at(server, at=3.0)
         with pytest.raises(ConfigurationError):
             injector.crash_at(server, at=10.0, duration=1.0)
@@ -242,7 +240,7 @@ class TestFaultZoo:
     def test_slow_fault_stretches_cpu_demand(self):
         env = Environment()
         server = self.make_server(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.slow_at(server, at=1.0, duration=2.0, factor=3.0)
         env.run(until=2.0)
         assert server.host.slowdown == pytest.approx(3.0)
@@ -257,7 +255,7 @@ class TestFaultZoo:
     def test_slow_fault_validation(self):
         env = Environment()
         server = self.make_server(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             injector.slow_at(server, at=1.0, duration=1.0, factor=1.0)
         with pytest.raises(ConfigurationError):
@@ -272,7 +270,7 @@ class TestFaultZoo:
     def test_packet_loss_window_installs_and_removes_impairment(self):
         env = Environment()
         system = self.make_full_system(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.inject(PacketLossFault(at=1.0, duration=2.0, loss=0.5),
                         system)
         env.run(until=2.0)
@@ -290,7 +288,7 @@ class TestFaultZoo:
     def test_packet_loss_targets_one_apache(self):
         env = Environment()
         system = self.make_full_system(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.inject(PacketLossFault(at=1.0, duration=1.0,
                                         apache="apache1"), system)
         env.run(until=1.5)
@@ -304,7 +302,7 @@ class TestFaultZoo:
     def test_link_latency_window(self):
         env = Environment()
         system = self.make_full_system(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         members = [b.member_named("tomcat1") for b in system.balancers]
         base = [m.link.latency for m in members]
         injector.inject(
@@ -370,7 +368,7 @@ class TestFaultZoo:
         with pytest.raises(ConfigurationError):
             RecurringFault("m", kind="explode")
         env = Environment()
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             injector.recurring(self.make_server(env), kind="explode")
 
@@ -378,12 +376,13 @@ class TestFaultZoo:
         env = Environment()
         system = self.make_full_system(env)
         with pytest.raises(ConfigurationError):
-            FaultInjector(env).inject(object(), system)
+            FaultInjector(env, rng=np.random.default_rng(0)).inject(
+                object(), system)
 
     def test_inject_all_schedules_everything(self):
         env = Environment()
         system = self.make_full_system(env)
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         injector.inject_all(
             (CrashFault("tomcat1", at=1.0, duration=0.5),
              SlowFault("tomcat2", at=1.0, duration=0.5, factor=2.0)),

@@ -271,7 +271,7 @@ class TestZoneFaults:
         spec = get_topology("classic")
         config = ExperimentConfig(
             topology=spec, duration=2.0,
-            trace_lb_values=False, trace_dispatches=False,
+            trace_balancers=False,
             faults=(ZoneOutageFault("east", at=0.5),))
         with pytest.raises(ConfigurationError, match="zone"):
             ExperimentRunner(config).run()
@@ -295,7 +295,7 @@ class TestZoneFaults:
         link = Link(env, 0.04, name="a=>b", profile=healthy,
                     rng=np.random.default_rng(0),
                     zone_pair=("east", "west"))
-        injector = FaultInjector(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
         degraded = LinkProfile(latency=0.25, loss=0.05, name="bad")
         injector.degrade_wan_at(link, at=1.0, duration=2.0,
                                 profile=degraded)
@@ -311,7 +311,7 @@ class TestZoneFaults:
         spec = get_topology("classic")
         config = ExperimentConfig(
             topology=spec, duration=2.0,
-            trace_lb_values=False, trace_dispatches=False,
+            trace_balancers=False,
             faults=(WanDegradationFault("east", "west", at=0.5,
                                         duration=1.0),))
         with pytest.raises(ConfigurationError, match="WAN"):
@@ -325,7 +325,7 @@ def _run_geo(fault_key, hierarchy=True, duration=6.0, **config_kwargs):
                             clients=80)
     config = ExperimentConfig(
         topology=spec, duration=duration, seed=7,
-        trace_lb_values=False, trace_dispatches=False,
+        trace_balancers=False,
         faults=fault_specs(fault_key, duration), **config_kwargs)
     return ExperimentRunner(config).run()
 

@@ -25,7 +25,8 @@ from repro.cluster.scenarios import (
     policy_run,
     single_node_millibottleneck,
 )
-from repro.metrics import ResponseTimeDistribution
+from repro.errors import AnalysisError
+from repro.metrics import PAPER_WINDOW, ResponseTimeDistribution
 
 # Long enough for several stall cycles AND for dropped packets to
 # retransmit through the 1 s RTO (possibly more than once — the flush
@@ -262,7 +263,7 @@ class TestFig2Anatomy:
         for server_name in ("tomcat1", "apache1"):
             cpu = result.cpu_utilization(server_name)
             iowait = result.iowait(server_name)
-            detections = detect(server_name, cpu, result.config.sample_window,
+            detections = detect(server_name, cpu, PAPER_WINDOW,
                                 iowait=iowait)
             records = [r for r in result.system.millibottleneck_records()
                        if r.host == server_name]
@@ -273,10 +274,16 @@ class TestFig2Anatomy:
     def test_detected_stalls_are_io_induced(self, single_node):
         cpu = single_node.cpu_utilization("tomcat1")
         iowait = single_node.iowait("tomcat1")
-        for detection in detect("tomcat1", cpu,
-                                single_node.config.sample_window,
+        for detection in detect("tomcat1", cpu, PAPER_WINDOW,
                                 iowait=iowait):
             assert detection.io_induced
+
+    def test_zero_window_raises(self, single_node):
+        """A zero window is an error, never the 50 ms default."""
+        with pytest.raises(AnalysisError):
+            single_node.cpu_utilization("tomcat1", window=0.0)
+        with pytest.raises(AnalysisError):
+            single_node.iowait("tomcat1", window=0.0)
 
     def test_dirty_drops_correlate_with_iowait(self, single_node):
         """Fig. 2(d)/(e): flush activity lines up with iowait."""

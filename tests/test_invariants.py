@@ -53,7 +53,7 @@ PROFILE = ScaleProfile.smoke()
 def run_experiment(**overrides):
     config = ExperimentConfig(
         profile=PROFILE, duration=DURATION,
-        trace_lb_values=False, trace_dispatches=False, **overrides)
+        trace_balancers=False, **overrides)
     return ExperimentRunner(config).run()
 
 

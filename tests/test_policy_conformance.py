@@ -41,8 +41,7 @@ def build_members(count=4, threads=2):
         tomcat = WorkerTier(env, name, Host(env, name),
                             max_threads=threads,
                             downstream=InlineDownstream(mysql))
-        members.append(BalancerMember(env, tomcat, index=i,
-                                      trace_lb_values=False))
+        members.append(BalancerMember(env, tomcat, index=i, trace=False))
     return env, members
 
 

@@ -383,7 +383,7 @@ def run_cell(resilience, faults=(), duration=6.0):
         bundle_key="original_total_request",
         profile=ScaleProfile.smoke(),
         duration=duration, seed=42,
-        trace_lb_values=False, trace_dispatches=False,
+        trace_balancers=False,
         faults=tuple(faults), resilience=resilience)
     return ExperimentRunner(config).run()
 

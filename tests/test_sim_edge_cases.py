@@ -537,14 +537,6 @@ class TestMonitorHub:
         for sampler in samplers:
             assert sampler.times == pytest.approx([0.0, 0.25, 0.5])
 
-    def test_disabled_sampler_never_attaches(self):
-        env = Environment()
-        hub = MonitorHub(env, period=0.25)
-        sampler = Sampler(env, lambda: 1, hub=hub, enabled=False)
-        env.run(until=1.0)
-        assert len(hub) == 0
-        assert sampler.series() == ([], [])
-
     def test_hub_validation(self):
         with pytest.raises(ValueError):
             MonitorHub(Environment(), period=0.0)

@@ -35,8 +35,11 @@ from repro.cluster.spec import (
     WorkloadSpec,
     get_topology,
 )
-from repro.cluster.topology import BOUNDARY_POOL_SIZE, build_from_spec
-from repro.core.balancer import BalancerConfig
+from repro.cluster.topology import (
+    BOUNDARY_POOL_SIZE,
+    build_from_spec,
+    replica_factory_for,
+)
 from repro.errors import ConfigurationError
 from repro.sim.core import Environment
 
@@ -80,7 +83,7 @@ class TestClassicEquivalence:
             bundle_key="current_load",
             topology=TopologySpec.classic(profile),
             duration=6.0, seed=99,
-            trace_lb_values=False, trace_dispatches=False))
+            trace_balancers=False))
         assert len(records) == SCENARIO_EVENTS
         assert trace_hash(records) == SCENARIO_SHA256
 
@@ -90,7 +93,7 @@ class TestClassicEquivalence:
         profile = ScaleProfile.smoke()
         base = dict(bundle_key="current_load",
                     duration=4.0, seed=20170601,
-                    trace_lb_values=False, trace_dispatches=False)
+                    trace_balancers=False)
         default = traced_run(ExperimentConfig(profile=profile, **base))
         from_spec = traced_run(ExperimentConfig(
             topology=TopologySpec.classic(profile), **base))
@@ -322,7 +325,7 @@ def run_topology(key, duration=4.0, seed=7):
     spec = get_topology(key)
     config = ExperimentConfig(
         topology=spec, duration=duration, seed=seed,
-        trace_lb_values=False, trace_dispatches=False)
+        trace_balancers=False)
     return ExperimentRunner(config).run()
 
 
@@ -410,14 +413,33 @@ class TestSpecIsTheRun:
         direct = TopologySpec.classic(profile, use_balancer=False)
         assert direct.boundaries[0].pool_size is None
 
-    def test_balancer_config_pool_size_is_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match="BoundarySpec.pool_size"):
-            build_from_spec(
-                Environment(),
-                ExperimentConfig(bundle_key="current_load").spec(),
-                rng=np.random.default_rng(0),
-                balancer_config=BalancerConfig(pool_size=3))
+
+class TestBalancerTraceSwitch:
+    """``trace_balancers`` reaches every balancer the builder makes —
+    the zone-local ones under a hierarchy included — and every member,
+    including one a runtime scale-up adds."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_switch_reaches_every_balancer_and_member(self, trace):
+        geo = build_from_spec(
+            Environment(),
+            ExperimentConfig(topology=get_topology("geo")).spec(),
+            rng=np.random.default_rng(0), trace_balancers=trace)
+        assert geo.zone_routers
+        classic = build_from_spec(
+            Environment(),
+            ExperimentConfig(profile=ScaleProfile.smoke()).spec(),
+            rng=np.random.default_rng(0), trace_balancers=trace)
+        added = replica_factory_for(classic, "tomcat")(
+            len(classic.tiers["tomcat"]))
+        assert all(balancer.members[-1].server is added
+                   for balancer in classic.balancers)
+        balancers = geo.balancers + classic.balancers
+        for balancer in balancers:
+            assert (balancer.dispatch_trace is not None) is trace
+            assert (balancer.pick_trace is not None) is trace
+            for member in balancer.members:
+                assert (member.lb_trace is not None) is trace
 
 
 # -- CLI --------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """System-level determinism: identical seeds give identical traces."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ExperimentRunner
 from repro.cluster.scenarios import policy_run
+from repro.sim import Environment
 
 
 def run(seed):
@@ -72,3 +75,21 @@ class TestDistributionWindows:
                                  record.ended_at + 0.3)
         assert mid_stall.min() <= normal / 2
         assert recovery.max() >= normal
+
+
+class TestTraceHookIsInert:
+    """Installing ``Environment.trace`` must not change the run: the
+    golden hashes are computed with the hook set, every other run
+    leaves it unset."""
+
+    @pytest.mark.parametrize("trace_requests", [False, True])
+    def test_traced_and_untraced_runs_agree(self, trace_requests):
+        config = policy_run("original_total_request", duration=2.0,
+                            seed=5)
+        config = replace(config, trace_requests=trace_requests)
+        plain_env, traced_env = Environment(), Environment()
+        traced_env.trace = lambda when, event: None
+        plain = ExperimentRunner(config).run(env=plain_env)
+        traced = ExperimentRunner(config).run(env=traced_env)
+        assert traced.metrics == plain.metrics
+        assert traced_env._eid == plain_env._eid

@@ -97,8 +97,8 @@ class CalendarQueue:
         self._cur_slot = 0
         #: The current slot's bucket, kept sorted; ``_ready_idx`` marks
         #: the consumed prefix.  Popped cells are overwritten with
-        #: ``None`` so the object pool's refcount guard never sees a
-        #: stale reference through a lingering entry tuple.
+        #: ``None`` so a bucket never keeps a processed event alive
+        #: through a lingering entry tuple.
         self._ready = self._buckets[0]
         self._ready_idx = 0
         self._grow_at = (GROW_FACTOR * nbuckets if nbuckets < MAX_BUCKETS

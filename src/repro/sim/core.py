@@ -32,50 +32,42 @@ a single int comparison, the event itself is never compared, and pop
 order is byte-identical to the binary-heap kernel this replaced (the
 golden-trace tests pin that contract).
 
-The second lever is allocation churn: :class:`Timeout` and plain
-:class:`Event` objects are recycled through per-environment free
-lists.  After an event's callbacks have run, the dispatch loop
-recycles it *only* when ``sys.getrefcount`` proves the loop holds the
-sole remaining reference — an event still referenced by a process,
-condition, or user variable is simply left to the garbage collector.
-See ``DESIGN.md §12`` for the full lifecycle.
+The hottest factories (:meth:`Environment.timeout`,
+:meth:`Resource.request <repro.sim.resources.Resource.request>`,
+``Store.put``/``get``, process start) build their events through
+``Cls.__new__`` and plain slot stores instead of an ``__init__`` chain,
+and are the only construction path of those classes.  Processed events are left to the
+collector — a free list of recycled events measured no faster.  See
+``DESIGN.md §12``.
 
 :attr:`Environment.trace`, when set to a callable, is invoked as
-``trace(time, event)`` for every event popped off the schedule.  It
-costs nothing when unset: :meth:`run` selects a loop variant without
-the hook at entry.  The golden-trace determinism tests are built on it.
+``trace(time, event)`` for every event popped off the schedule, from
+the same dispatch loop every run uses; unset it costs one ``is None``
+test per event.  The golden-trace determinism tests are built on it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from sys import getrefcount
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (
+    _KEY_SHIFT,
+    _NORMAL_KEY,
     NORMAL,
-    POOL_MAX,
     URGENT,
     AllOf,
     AnyOf,
     Event,
     Timeout,
-    _PENDING,
 )
 from repro.sim.process import Process, ProcessGenerator
 
 __all__ = ["Environment", "NORMAL", "URGENT"]
 
 _INF = float("inf")
-
-#: Bits reserved for the event sequence number inside a schedule key.
-#: A simulation would need ~100 years of wall-clock at current kernel
-#: throughput to overflow 2**53 events, and Python ints widen anyway —
-#: ordering stays correct either way.
-_KEY_SHIFT = 53
-_NORMAL_KEY = NORMAL << _KEY_SHIFT
 
 
 class Environment:
@@ -87,19 +79,16 @@ class Environment:
         Clock value at the start of the simulation (seconds).
     """
 
-    __slots__ = ("_now", "_sched", "_eid", "_active_process",
-                 "_timeout_pool", "_event_pool", "trace", "tracer")
+    __slots__ = ("_now", "_sched", "_eid", "_active_process", "trace",
+                 "tracer")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._sched = CalendarQueue(self._now)
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Free lists for recycled events (see module docstring).
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
         #: Optional probe called as ``trace(time, event)`` for every
-        #: event processed.  ``None`` (the default) is zero-cost.
+        #: event processed.  ``None`` (the default) disables it.
         self.trace: Optional[Callable[[float, Event], None]] = None
         #: Optional per-request span tracer (see :mod:`repro.tracing`).
         #: The kernel never reads it — model components check it with a
@@ -144,7 +133,7 @@ class Environment:
         self._sched.push(
             (self._now + delay, (priority << _KEY_SHIFT) | eid, event))
 
-    def _trigger_now(self, event: Event, _key=_NORMAL_KEY,
+    def _trigger_now(self, event: Event, key: int = _NORMAL_KEY,
                      _insort=insort) -> None:
         """Internal: schedule an already-triggered event at the current
         time.
@@ -152,7 +141,11 @@ class Environment:
         Fast path used by the resource/queue layers after they set the
         event's ``_value`` directly — equivalent to ``schedule(event)``
         without the delay validation (there is no delay) and without an
-        extra call frame from ``succeed``.  The calendar insert
+        extra call frame from ``succeed``.  ``key`` is the priority
+        already shifted into place: ``_NORMAL_KEY`` by default,
+        ``_URGENT_KEY`` (zero) for process start and interrupt
+        delivery, so the packed key is byte-identical to what
+        ``schedule(event, priority)`` would produce.  The calendar insert
         collapses to one binary insertion: an entry at the current
         clock can never map past the current slot (the slot mapping is
         monotone and the clock equals the last popped entry's time), so
@@ -169,25 +162,7 @@ class Environment:
         sched = self._sched
         sched._count += 1
         ready = sched._ready
-        entry = (self._now, _key | eid, event)
-        if len(ready) == sched._ready_idx or entry >= ready[-1]:
-            ready.append(entry)
-        else:
-            _insort(ready, entry, sched._ready_idx)
-
-    def _trigger_urgent_now(self, event: Event, _insort=insort) -> None:
-        """Internal: :meth:`_trigger_now` at ``URGENT`` priority.
-
-        ``URGENT << _KEY_SHIFT`` is zero, so the packed key is the bare
-        sequence number — byte-identical to what ``schedule(event,
-        URGENT)`` would produce.  Used for process initialisation and
-        interrupt delivery.
-        """
-        self._eid = eid = self._eid + 1
-        sched = self._sched
-        sched._count += 1
-        ready = sched._ready
-        entry = (self._now, eid, event)
+        entry = (self._now, key | eid, event)
         if len(ready) == sched._ready_idx or entry >= ready[-1]:
             ready.append(entry)
         else:
@@ -195,12 +170,7 @@ class Environment:
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
-        """Create a fresh, untriggered event (drawn from the free list)."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = _PENDING
-            return event
+        """Create a fresh, untriggered event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None, _new=Timeout.__new__,
@@ -208,28 +178,20 @@ class Environment:
                 _insort=insort) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now.
 
-        This is the kernel's dominant allocation, so it draws from the
-        :class:`Timeout` free list when possible (recycled instances
-        arrive pre-reset) and otherwise builds the instance directly —
-        already triggered, skipping the ``Timeout.__init__``/
-        ``Event.__init__``/``schedule`` call chain.  The calendar
-        insert is inlined for the same reason.
+        This is the kernel's dominant allocation, and the only way a
+        :class:`Timeout` is built: the instance is created already
+        triggered through ``Timeout.__new__``, with no ``__init__``/
+        ``schedule`` call chain, and the calendar insert is inlined.
         """
         if not 0.0 <= delay < _inf:
             raise ValueError("invalid delay: {!r}".format(delay))
-        pool = self._timeout_pool
-        if pool:
-            event = pool.pop()
-            event._value = value
-            event._delay = delay
-        else:
-            event = _new(_cls)
-            event.env = self
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._defused = False
-            event._delay = delay
+        event = _new(_cls)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._defused = False
+        event._delay = delay
         self._eid = eid = self._eid + 1
         t = self._now + delay
         sched = self._sched
@@ -275,8 +237,6 @@ class Environment:
 
         :meth:`run` does not call this — it inlines the same logic —
         but it remains the single-step API for tests and debuggers.
-        Events dispatched through :meth:`step` are never recycled, so
-        debugger sessions can hold on to them freely.
 
         Raises
         ------
@@ -334,142 +294,57 @@ class Environment:
                           delay=deadline - self._now)
 
         # The dispatch loop.  Everything the per-event path touches is
-        # a local; the traced variant is split out so the common case
-        # pays nothing for the hook.  The calendar pop fast path is
-        # inlined: consume the next cell of the current (sorted)
-        # bucket, nulling it out so the entry tuple dies immediately —
-        # a precondition for the refcount check below.  An event whose
-        # only remaining reference is the loop's local is invisible to
-        # the rest of the simulation, so it is reset and recycled onto
-        # the free list instead of being left for the collector.
+        # a local.  The calendar pop fast path is inlined: consume the
+        # next cell of the current (sorted) bucket, nulling it out so
+        # the bucket does not keep a processed event alive.
         sched = self._sched
         advance = sched._advance
         trace = self.trace
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        refcount = getrefcount
-        pool_max = POOL_MAX
-        pending = _PENDING
-        timeout_cls = Timeout
-        event_cls = Event
         try:
-            if trace is None:
-                while True:
-                    ridx = sched._ready_idx
-                    ready = sched._ready
-                    try:
-                        # IndexError <=> the current slot is drained.
-                        when, _, event = ready[ridx]
-                        ready[ridx] = None
-                        sched._ready_idx = ridx + 1
-                    except IndexError:
-                        # Probe the next slot inline (the dominant
-                        # slow-path case for sparse wheels) before
-                        # falling back to the generic advance; this
-                        # mirrors _advance's one-step bookkeeping.
-                        nxt = sched._cur_slot + 1
-                        bucket = (sched._buckets[nxt]
-                                  if nxt < sched._nbuckets else None)
-                        if bucket:
-                            sched._count -= ridx
-                            del ready[:]
-                            if len(bucket) > 1:
-                                bucket.sort()
-                            sched._cur_slot = nxt
-                            sched._ready = bucket
-                            sched._ready_idx = 1
-                            when, _, event = bucket[0]
-                            bucket[0] = None
-                        else:
-                            entry = advance()
-                            if entry is None:
-                                break
-                            when, _, event = entry
-                            del entry
-                    self._now = when
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        # Dominant case: exactly one waiter.
-                        callbacks[0](event)
+            while True:
+                ridx = sched._ready_idx
+                ready = sched._ready
+                try:
+                    # IndexError <=> the current slot is drained.
+                    when, _, event = ready[ridx]
+                    ready[ridx] = None
+                    sched._ready_idx = ridx + 1
+                except IndexError:
+                    # Probe the next slot inline (the dominant slow-path
+                    # case for sparse wheels) before falling back to the
+                    # generic advance; this mirrors _advance's one-step
+                    # bookkeeping.
+                    nxt = sched._cur_slot + 1
+                    bucket = (sched._buckets[nxt]
+                              if nxt < sched._nbuckets else None)
+                    if bucket:
+                        sched._count -= ridx
+                        del ready[:]
+                        if len(bucket) > 1:
+                            bucket.sort()
+                        sched._cur_slot = nxt
+                        sched._ready = bucket
+                        sched._ready_idx = 1
+                        when, _, event = bucket[0]
+                        bucket[0] = None
                     else:
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    cls = event.__class__
-                    if cls is timeout_cls:
-                        if refcount(event) == 2 and len(tpool) < pool_max:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = None
-                            event._defused = False
-                            tpool.append(event)
-                    elif cls is event_cls:
-                        if refcount(event) == 2 and len(epool) < pool_max:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = pending
-                            event._ok = True
-                            event._defused = False
-                            epool.append(event)
-            else:
-                while True:
-                    ridx = sched._ready_idx
-                    ready = sched._ready
-                    try:
-                        # IndexError <=> the current slot is drained.
-                        when, _, event = ready[ridx]
-                        ready[ridx] = None
-                        sched._ready_idx = ridx + 1
-                    except IndexError:
-                        # Probe the next slot inline (the dominant
-                        # slow-path case for sparse wheels) before
-                        # falling back to the generic advance; this
-                        # mirrors _advance's one-step bookkeeping.
-                        nxt = sched._cur_slot + 1
-                        bucket = (sched._buckets[nxt]
-                                  if nxt < sched._nbuckets else None)
-                        if bucket:
-                            sched._count -= ridx
-                            del ready[:]
-                            if len(bucket) > 1:
-                                bucket.sort()
-                            sched._cur_slot = nxt
-                            sched._ready = bucket
-                            sched._ready_idx = 1
-                            when, _, event = bucket[0]
-                            bucket[0] = None
-                        else:
-                            entry = advance()
-                            if entry is None:
-                                break
-                            when, _, event = entry
-                            del entry
-                    self._now = when
+                        entry = advance()
+                        if entry is None:
+                            break
+                        when, _, event = entry
+                self._now = when
+                if trace is not None:
                     trace(when, event)
-                    callbacks = event.callbacks
-                    event.callbacks = None
+                callbacks = event.callbacks
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    # Dominant case: exactly one waiter.
+                    callbacks[0](event)
+                else:
                     for callback in callbacks:
                         callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    cls = event.__class__
-                    if cls is timeout_cls:
-                        if refcount(event) == 2 and len(tpool) < pool_max:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = None
-                            event._defused = False
-                            tpool.append(event)
-                    elif cls is event_cls:
-                        if refcount(event) == 2 and len(epool) < pool_max:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = pending
-                            event._ok = True
-                            event._defused = False
-                            epool.append(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         except StopSimulation as stop:
             return stop.value
 

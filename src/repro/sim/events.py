@@ -19,20 +19,16 @@ request/timeout/resource interaction, so avoiding the per-instance
 ``__dict__`` is one of the main levers behind the kernel's throughput
 (see ``benchmarks/test_kernel_throughput.py``).
 
-Free-list pooling
------------------
-:class:`Timeout` and plain :class:`Event` instances are additionally
-*recycled*: the dispatch loop in :meth:`Environment.run` returns a
-processed event to a per-environment free list when ``sys.getrefcount``
-proves the loop holds the sole remaining reference (capped at
-:data:`POOL_MAX` per class), and :meth:`Environment.timeout` /
-:meth:`Environment.event` draw from those lists before allocating.
-Recycled instances are reset to pristine pending state (callbacks list
-emptied and reattached, value/ok/defused cleared) *at recycle time*, so
-the factories' pool hit path is a ``list.pop`` plus two stores.  Exact
-``type() is`` checks keep subclasses (``Initialize``, ``Condition``,
-``Process``...) out of the pools.  Events dispatched via
-:meth:`Environment.step` are never recycled.
+One construction path per class
+-------------------------------
+The hot event classes have no constructor of their own.
+:class:`Timeout` is built only by :meth:`Environment.timeout`,
+:class:`Initialize` only by :class:`~repro.sim.process.Process`, and
+:class:`~repro.sim.resources.Request` only by
+:meth:`Resource.request <repro.sim.resources.Resource.request>`; each
+factory creates the instance with ``Cls.__new__`` and stores every slot
+itself.  Processed events are not recycled: they die like any other
+object once the last reference goes.
 """
 
 from __future__ import annotations
@@ -48,10 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 URGENT = 0
 NORMAL = 1
 
-#: Cap on each per-environment free list.  Pools only grow while events
-#: die faster than they are created, so a few thousand covers the churn
-#: of any steady-state workload without pinning memory after a burst.
-POOL_MAX = 4096
+#: Bits reserved for the event sequence number inside a schedule key,
+#: which packs ``(priority << _KEY_SHIFT) | sequence``.  A simulation
+#: would need ~100 years of wall-clock at current kernel throughput to
+#: overflow 2**53 events, and Python ints widen anyway — ordering stays
+#: correct either way.
+_KEY_SHIFT = 53
+_URGENT_KEY = URGENT << _KEY_SHIFT
+_NORMAL_KEY = NORMAL << _KEY_SHIFT
 
 _PENDING = object()
 
@@ -166,24 +166,10 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed delay in simulated time.
 
-    This is the dominant event type of every workload, so
-    :meth:`Environment.timeout` constructs it through a fast path that
-    bypasses the ``__init__`` chain; the constructor below is kept for
-    direct instantiation and behaves identically.
+    Built only by :meth:`Environment.timeout`.
     """
 
     __slots__ = ("_delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if not 0.0 <= delay < float("inf"):
-            raise ValueError("invalid delay: {!r}".format(delay))
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self._delay = delay
-        env.schedule(self, delay=delay)
 
     @property
     def delay(self) -> float:
@@ -194,17 +180,12 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event used to start a new :class:`~repro.sim.process.Process`."""
+    """Internal event used to start a new :class:`~repro.sim.process.Process`.
+
+    Built only by the process constructor.
+    """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", process: Any) -> None:
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        env.schedule(self, priority=URGENT)
 
 
 class ConditionValue:

@@ -20,7 +20,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, Event, Initialize, Interrupt
+from repro.sim.events import (
+    _PENDING,
+    _URGENT_KEY,
+    Event,
+    Initialize,
+    Interrupt,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Environment
@@ -53,15 +59,15 @@ class Process(Event):
         #: the process is being resumed or after it finished).
         self._target: Optional[Event] = None
         self._resume_cb: Callable[[Event], None] = self._resume
-        # Initialize(env, self) with the constructor chain inlined —
-        # experiments spawn one process per client request.
+        # The start event, scheduled URGENT: the process starts ahead
+        # of the NORMAL events due at this instant.
         init = Initialize.__new__(Initialize)
         init.env = env
         init.callbacks = [self._resume_cb]
         init._value = None
         init._ok = True
         init._defused = False
-        env._trigger_urgent_now(init)
+        env._trigger_now(init, key=_URGENT_KEY)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", repr(self._generator))
@@ -96,7 +102,7 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
         interrupt_event.callbacks.append(self._deliver_interrupt)
-        self.env._trigger_urgent_now(interrupt_event)
+        self.env._trigger_now(interrupt_event, key=_URGENT_KEY)
 
     def _deliver_interrupt(self, event: Event) -> None:
         """Deliver an interrupt unless the process finished in the meantime.

@@ -23,7 +23,7 @@ A pending request can also be *cancelled* — this is essential for
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, Event
@@ -33,26 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Request(Event):
-    """A pending or granted claim on one slot of a :class:`Resource`."""
+    """A pending or granted claim on one slot of a :class:`Resource`.
+
+    Built only by :meth:`Resource.request`.  ``issued_at`` is the time
+    the request was issued (used for queue-wait metrics).
+    """
 
     __slots__ = ("resource", "priority", "issued_at")
-
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
-        # Event.__init__ inlined: a request is allocated per served
-        # request per tier, one of the kernel's dominant allocations.
-        # (``Resource.request`` builds instances via ``__new__`` with
-        # the same field layout; keep the two in sync.)
-        env = resource.env
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        self.resource = resource
-        self.priority = priority
-        #: Time the request was issued (used for queue-wait metrics).
-        self.issued_at = env._now
-        resource._do_request(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -147,7 +134,6 @@ class Resource:
         except ValueError:
             raise SimulationError(
                 "release of a request that does not hold a slot") from None
-        # _grant_next() inlined — this runs once per served request.
         waiting = self._waiting
         if waiting:
             env = self.env
@@ -159,15 +145,6 @@ class Resource:
                 env._trigger_now(nxt)
 
     # -- internal ----------------------------------------------------------
-    def _do_request(self, request: Request) -> None:
-        if len(self._users) < self._capacity and not self._waiting:
-            self._users.append(request)
-            # Fresh request: trigger directly, skipping succeed().
-            request._value = request
-            self.env._trigger_now(request)
-        else:
-            self._insert_waiting(request)
-
     def _insert_waiting(self, request: Request) -> None:
         self._waiting.append(request)
 
@@ -177,14 +154,6 @@ class Resource:
         except ValueError:
             raise SimulationError(
                 "cancel of a request that is not waiting") from None
-
-    def _grant_next(self) -> None:
-        env = self.env
-        while self._waiting and len(self._users) < self._capacity:
-            request = self._waiting.popleft()
-            self._users.append(request)
-            request._value = request
-            env._trigger_now(request)
 
 
 class PriorityResource(Resource):

@@ -25,7 +25,7 @@ seed-threading SEED001 system/fault builders called without threading the
 perf-hot-path  PERF00x direct ``heapq`` use outside the calendar-queue
                        module, and per-event ``Event``/``Timeout``/``Span``
                        construction inside loops in ``sim``/``tracing``
-                       hot paths that bypass the free-list/factory APIs
+                       hot paths that bypass the event factories
 queue-bound    QUEUE001 unbounded ``Store``/``deque``/``Queue``
                        construction in ``tiers/``/``controlplane/``
                        request-path code (no capacity/maxlen/maxsize)
@@ -724,33 +724,36 @@ _HEAPQ_FUNCS = {
     "heappush", "heappop", "heapify", "heappushpop", "heapreplace",
     "nsmallest", "nlargest",
 }
-#: Per-event classes whose direct construction bypasses a free list or
-#: inline factory (``env.timeout()``/``env.event()``/the tracer's
-#: ``__new__``-based span builders).
-_POOLED_CLASSES = {"Event", "Timeout", "Span"}
+#: Per-event classes with one construction path, a factory
+#: (``env.timeout()``/``env.event()``/the tracer's ``__new__``-based
+#: span builders); a direct constructor call bypasses it.
+_FACTORY_CLASSES = {"Event", "Timeout", "Span"}
 #: The scheduler module owns the overflow heap; it is the one place
 #: heapq belongs.
 _SCHEDULER_MODULE = "calendar.py"
 
 
 class PerfHotPathRule(Rule):
-    """Hot paths must go through the scheduler and pool APIs.
+    """Hot paths must go through the scheduler and the event factories.
 
-    The round-2 kernel work moved every per-event cost behind two
-    chokepoints: the :class:`~repro.sim.calendar.CalendarQueue` (the
-    only sanctioned event ordering structure — its overflow heap is an
-    implementation detail of ``calendar.py``) and the free-list/inline
-    factories (``env.timeout()``, ``env.event()``, the tracer's
-    ``Span.__new__`` builders).  Code under ``sim``/``tracing`` that
-    hand-rolls a ``heapq`` schedule re-introduces the O(log n) sifts
-    the calendar queue replaced, and a loop that constructs
-    ``Event``/``Timeout``/``Span`` instances directly re-introduces the
-    allocation churn the pools eliminated — both are invisible in tests
-    and only surface as a throughput regression in ``bench-smoke``.
+    The kernel keeps every per-event cost behind two chokepoints: the
+    :class:`~repro.sim.calendar.CalendarQueue` (the only sanctioned
+    event ordering structure — its overflow heap is an implementation
+    detail of ``calendar.py``) and the event factories
+    (``env.timeout()``, ``env.event()``, the tracer's ``Span.__new__``
+    builders), each the one construction path of its class, with the
+    ``__init__`` chain and the calendar insert inlined.  Code under
+    ``sim``/``tracing`` that hand-rolls a ``heapq`` schedule
+    re-introduces the O(log n) sifts the calendar queue replaced, and a
+    loop that constructs ``Event``/``Timeout``/``Span`` instances
+    directly pays the constructor chain the factories inline (or, for
+    ``Timeout``, has no constructor to call) — both are invisible in
+    tests and only surface as a throughput regression in
+    ``bench-smoke``.
     """
 
     id = "perf-hot-path"
-    description = "hot-path code bypassing the scheduler/pool APIs"
+    description = "hot-path code bypassing the scheduler/event factories"
     codes = ("PERF001", "PERF002")
 
     def make_visitor(self, ctx: Context) -> ast.NodeVisitor:
@@ -809,8 +812,8 @@ class PerfHotPathRule(Rule):
 
         ``__init__``/``__new__`` and ``setup``/``prewarm``/``warm``-
         style helpers run once per object or per experiment, not once
-        per event — a pool-class construction loop there is the free
-        list being *filled*, not bypassed.
+        per event — a construction loop there builds fixtures, not
+        per-event traffic.
         """
         bare = name.lstrip("_")
         return (name in ("__init__", "__new__", "__init_subclass__")
@@ -836,10 +839,10 @@ class PerfHotPathRule(Rule):
                                      and short in _HEAPQ_FUNCS)):
             self._report_heapq(ctx, node)
             return
-        if loop_depth and "." not in name and short in _POOLED_CLASSES:
+        if loop_depth and "." not in name and short in _FACTORY_CLASSES:
             ctx.report(node, "PERF002", self.id, Severity.WARNING,
                        "per-event {}(...) construction inside a loop "
-                       "bypasses the free-list/factory APIs; use "
+                       "bypasses the event factories; use "
                        "env.timeout()/env.event() (or the tracer's "
                        "span builders), or hoist the allocation out "
                        "of the loop".format(short))

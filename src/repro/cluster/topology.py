@@ -599,8 +599,22 @@ def _boundary_factories(boundary, depth, policy_factory, mechanism_factory):
 
 
 def _boundary_resilience(boundary, depth, resilience):
-    """Resolve one boundary's resilience configuration."""
-    if depth == 0 and resilience is not None:
+    """Resolve one boundary's resilience configuration.
+
+    At boundary 0 a ``resilience`` carrying hedge, breaker or probes
+    replaces the spec's bundle, so the spec may not name one too (the
+    rule ``ExperimentConfig.spec()`` applies to the control plane).  A
+    retry-only ``resilience`` drives the clients and leaves the spec's
+    bundle wired.
+    """
+    if depth == 0 and resilience is not None and (
+            resilience.hedge is not None or resilience.breaker is not None
+            or resilience.probes is not None):
+        if boundary.resilience is not None:
+            raise ConfigurationError(
+                "boundary 0: resilience is set by both the topology "
+                "({!r}) and ExperimentConfig.resilience".format(
+                    boundary.resilience))
         return resilience
     if boundary.resilience is not None:
         from repro.resilience import get_resilience

@@ -41,6 +41,7 @@ from repro.cluster.topology import (
     replica_factory_for,
 )
 from repro.errors import ConfigurationError
+from repro.resilience import RESILIENCE_BUNDLES
 from repro.sim.core import Environment
 
 from tests.test_golden_trace import SCENARIO_EVENTS, SCENARIO_SHA256, trace_hash
@@ -412,6 +413,37 @@ class TestSpecIsTheRun:
         assert balanced.pool_size == 4
         direct = TopologySpec.classic(profile, use_balancer=False)
         assert direct.boundaries[0].pool_size is None
+
+
+class TestBoundaryZeroResilience:
+    """A spec's boundary-0 remedy bundle against
+    ``ExperimentConfig.resilience``: a config carrying hedge, breaker
+    or probes conflicts with it, a retry-only config leaves it wired."""
+
+    @staticmethod
+    def hedged_config(resilience=None):
+        spec = TopologySpec.classic(ScaleProfile.smoke())
+        boundaries = list(spec.boundaries)
+        boundaries[0] = replace(boundaries[0], resilience="hedge")
+        return ExperimentConfig(
+            topology=replace(spec, boundaries=tuple(boundaries)),
+            resilience=resilience, duration=0.2)
+
+    @pytest.mark.parametrize("key", ["hedge", "breaker", "probes", "full"])
+    def test_balancer_side_config_conflicts_with_the_spec(self, key):
+        config = self.hedged_config(RESILIENCE_BUNDLES[key])
+        with pytest.raises(ConfigurationError, match="boundary 0"):
+            ExperimentRunner(config).run()
+
+    def test_retry_only_config_keeps_the_spec_bundle(self):
+        alone = ExperimentRunner(self.hedged_config()).run()
+        retried = ExperimentRunner(
+            self.hedged_config(RESILIENCE_BUNDLES["retry"])).run()
+        frontends = len(alone.system.frontends)
+        assert len(alone.system.hedgers) == frontends
+        assert len(retried.system.hedgers) == frontends
+        assert all(client.retry is not None
+                   for client in retried.population.clients)
 
 
 class TestBalancerTraceSwitch:

@@ -38,7 +38,7 @@ from repro.sim.monitor import Sampler
 from repro.tiers.cache import CacheTier
 from repro.tracing.spans import SpanTracer
 from repro.workload.generator import ClientPopulation
-from repro.workload.mix import WorkloadMix, read_write_mix
+from repro.workload.mix import read_write_mix
 
 #: Stream constant separating the fault injector's RNG stream from the
 #: run's main generator: both derive from ``config.seed`` but never
@@ -420,10 +420,8 @@ def _bucket_shares(explanation) -> dict[str, float]:
 class ExperimentRunner:
     """Builds and runs one experiment."""
 
-    def __init__(self, config: ExperimentConfig,
-                 mix: Optional[WorkloadMix] = None) -> None:
+    def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
-        self.mix = mix or read_write_mix()
 
     def run(self, env: Optional[Environment] = None) -> ExperimentResult:
         """Execute the run and return its result.
@@ -463,7 +461,7 @@ class ExperimentRunner:
             env,
             sockets=[frontend.socket for frontend in system.frontends],
             total_clients=spec.workload.clients,
-            mix=self.mix,
+            mix=read_write_mix(),
             rng=rng,
             think_time=spec.workload.think_time,
             retransmission=RetransmissionPolicy(),
@@ -573,8 +571,7 @@ class Grid:
                            in zip(names, combo)}, config))
         return cells
 
-    def run(self, workers: Optional[int] = 1,
-            mix: Optional[WorkloadMix] = None
+    def run(self, workers: Optional[int] = 1
             ) -> list[tuple[dict[str, str], RunMetrics]]:
         """Run every cell; ``(labels, metrics)`` rows in product order.
 
@@ -586,13 +583,12 @@ class Grid:
 
         cells = self.cells()
         metrics = run_experiments([config for _, config in cells],
-                                  workers=workers, mix=mix)
+                                  workers=workers)
         return [(labels, run) for (labels, _), run in zip(cells, metrics)]
 
 
 def compare_policies(bundle_keys, profile: Optional[ScaleProfile] = None,
                      duration: float = 30.0, seed: int = 42,
-                     mix: Optional[WorkloadMix] = None,
                      trace: bool = False,
                      workers: Optional[int] = 1) -> list[RunMetrics]:
     """Run several Table-I bundles under identical conditions.
@@ -608,4 +604,4 @@ def compare_policies(bundle_keys, profile: Optional[ScaleProfile] = None,
         trace_balancers=trace)
     grid = Grid(base, {"bundle": {key: {"bundle_key": key}
                                   for key in bundle_keys}})
-    return [run for _, run in grid.run(workers=workers, mix=mix)]
+    return [run for _, run in grid.run(workers=workers)]

@@ -39,7 +39,6 @@ from repro.cluster.runner import (
     RunMetrics,
 )
 from repro.errors import ConfigurationError
-from repro.workload.mix import WorkloadMix
 
 __all__ = [
     "Replication",
@@ -48,22 +47,19 @@ __all__ = [
 ]
 
 
-def _run_one(task: tuple[int, ExperimentConfig, Optional[WorkloadMix]]
-             ) -> tuple[int, RunMetrics]:
+def _run_one(task: tuple[int, ExperimentConfig]) -> tuple[int, RunMetrics]:
     """Pool worker: run one config and reduce it in the child.
 
     Module-level so it pickles under every multiprocessing start method
     (spawn included).  Returns ``(index, metrics)`` so the parent can
     merge results in submission order regardless of completion order.
     """
-    index, config, mix = task
-    return index, ExperimentRunner(config, mix=mix).run().metrics
+    index, config = task
+    return index, ExperimentRunner(config).run().metrics
 
 
 def run_experiments(configs: Iterable[ExperimentConfig],
-                    workers: Optional[int] = 1,
-                    mix: Optional[WorkloadMix] = None,
-                    ) -> list[RunMetrics]:
+                    workers: Optional[int] = 1) -> list[RunMetrics]:
     """Run independent configs, optionally across a process pool.
 
     ``workers=1`` runs serially in this process (no pool, no pickling);
@@ -83,9 +79,9 @@ def run_experiments(configs: Iterable[ExperimentConfig],
             "workers must be a positive int or None, got {!r}".format(
                 workers))
     if workers == 1 or len(configs) <= 1:
-        return _run_serially(configs, mix)
+        return _run_serially(configs)
 
-    tasks = [(i, config, mix) for i, config in enumerate(configs)]
+    tasks = list(enumerate(configs))
     merged: list[Optional[RunMetrics]] = [None] * len(tasks)
     try:
         from concurrent.futures import ProcessPoolExecutor
@@ -96,14 +92,12 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     except (ImportError, OSError, PermissionError):
         # No usable multiprocessing primitives (restricted sandboxes,
         # missing /dev/shm): fall back to the serial path.
-        return _run_serially(configs, mix)
+        return _run_serially(configs)
     return merged
 
 
-def _run_serially(configs: list[ExperimentConfig],
-                  mix: Optional[WorkloadMix]) -> list[RunMetrics]:
-    return [ExperimentRunner(config, mix=mix).run().metrics
-            for config in configs]
+def _run_serially(configs: list[ExperimentConfig]) -> list[RunMetrics]:
+    return [ExperimentRunner(config).run().metrics for config in configs]
 
 
 @dataclass(frozen=True)
@@ -141,8 +135,7 @@ class Replication:
 
 
 def replicate(config: ExperimentConfig, seeds: Iterable[int],
-              workers: Optional[int] = 1,
-              mix: Optional[WorkloadMix] = None) -> Replication:
+              workers: Optional[int] = 1) -> Replication:
     """Run ``config`` once per seed and collect the replications.
 
     The paper's Table I numbers come from single runs; replications put
@@ -155,4 +148,4 @@ def replicate(config: ExperimentConfig, seeds: Iterable[int],
     grid = Grid(config, {"seed": {str(seed): {"seed": seed}
                                   for seed in seeds}})
     return Replication(runs=tuple(
-        run for _, run in grid.run(workers=workers, mix=mix)))
+        run for _, run in grid.run(workers=workers)))

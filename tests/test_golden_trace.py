@@ -33,10 +33,19 @@ balancer's dispatch and pick logs and every live and retired member's
 lb_value series, for a classic policy run, the ``four_tier`` builtin
 and the autoscaled example spec under packet loss (where each Apache
 retires one member).
+
+:class:`TestBuildDigest` pins what the builder wires up for every
+shipped shape: each builtin topology, each ``examples/topologies``
+file, and two autoscaled specs whose replica churn crosses a
+``direct`` and a ``sharded`` boundary.  The digest covers the run's
+:class:`RunMetrics`, the kernel's event count, every tier's live and
+retired replica names and every autoscaler action, so a change to how
+a boundary forwards requests or tracks membership cannot move a
+shape's behaviour unseen.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +59,14 @@ from repro.cluster.scenarios import (
     policy_run,
     single_node_millibottleneck,
 )
-from repro.cluster.spec import TopologySpec, get_topology
+from repro.cluster.spec import (
+    BUILTIN_TOPOLOGIES,
+    BoundarySpec,
+    TierSpec,
+    TopologySpec,
+    WorkloadSpec,
+    get_topology,
+)
 from repro.controlplane import (
     AdmissionConfig,
     AutoscalerConfig,
@@ -266,3 +282,121 @@ class TestObservationDigest:
         assert [len(balancer.retired_members)
                 for balancer in system.balancers] == retired
         assert observation_digest(system) == sha256
+
+
+def _autoscaler(**overrides):
+    return AutoscalerConfig(interval=0.25, warmup=0.25, high_watermark=3.0,
+                            low_watermark=1.0, min_replicas=1,
+                            max_replicas=3, cooldown=0.5, **overrides)
+
+
+def direct_autoscaled_spec():
+    """A direct boundary over an autoscaled single-core worker tier."""
+    return TopologySpec(
+        name="direct_autoscaled",
+        tiers=(TierSpec("apache", "frontend", capacity=64, backlog=128),
+               TierSpec("tomcat", "worker", capacity=4, cores=1,
+                        autoscaler=_autoscaler()),
+               TierSpec("mysql", "pooled")),
+        boundaries=(BoundarySpec(mode="direct"),
+                    BoundarySpec(mode="inline")),
+        workload=WorkloadSpec(clients=400, think_time=0.5, ramp_up=0.5))
+
+
+def sharded_autoscaled_spec():
+    """A sharded boundary over an autoscaled single-core pooled tier
+    that runs worker-sized queries."""
+    return TopologySpec(
+        name="sharded_autoscaled",
+        tiers=(TierSpec("apache", "frontend", capacity=64, backlog=128),
+               TierSpec("tomcat", "worker", capacity=64, cores=8),
+               TierSpec("mysql", "pooled", replicas=2, capacity=1,
+                        cores=1, cpu_source="tomcat_cpu",
+                        autoscaler=_autoscaler())),
+        boundaries=(BoundarySpec(mode="direct"),
+                    BoundarySpec(mode="sharded")),
+        workload=WorkloadSpec(clients=200, think_time=0.5, ramp_up=0.5))
+
+
+EXAMPLE_TOPOLOGIES = sorted(
+    AUTOSCALED_SPEC.parent.glob("*.json"))
+
+#: Shape name -> spec factory for :class:`TestBuildDigest`.
+BUILD_SHAPES = {
+    **{"builtin/" + key: factory
+       for key, factory in BUILTIN_TOPOLOGIES.items()},
+    **{"file/" + path.name: (lambda path=path: TopologySpec.load(path))
+       for path in EXAMPLE_TOPOLOGIES},
+    "direct_autoscaled": direct_autoscaled_spec,
+    "sharded_autoscaled": sharded_autoscaled_spec,
+}
+
+#: 3 simulated seconds at seed 5 per shape: digest of the run.
+BUILD_GOLDENS = {
+    "builtin/classic":
+        "66b4531be02455bba6254a13883787eedbd44aacc6b0e6643d7acdfdb5743697",
+    "builtin/four_tier":
+        "d850ce1e1e0c0409653a2a170a16d654dc049fac6952d618247f0a52b6b16a36",
+    "builtin/geo":
+        "3ce44ce6b6200a90f996438993ae6f2e2eac0752677c6a7d4b18d90ce95d6ab7",
+    "builtin/geo_flat":
+        "79b170adae5984efbaee05edd245e11ec92c1a91a8029a778317889a406e0ac4",
+    "builtin/replicated_db":
+        "19cde829983d089ffb81fbb7603cf3d2e9ee112b36d1f8af5908f8a77ce4a9f9",
+    "direct_autoscaled":
+        "b55eb15e85a033915ce46b463397b3797dbef8ffdea80f498ddb19af2ab68df0",
+    "file/autoscaled.json":
+        "b49f9e366c51067905d027e276bd71afa0bc62f578f71dd598aaf3581ba2e7fa",
+    "file/classic.json":
+        "66b4531be02455bba6254a13883787eedbd44aacc6b0e6643d7acdfdb5743697",
+    "file/four_tier.json":
+        "d850ce1e1e0c0409653a2a170a16d654dc049fac6952d618247f0a52b6b16a36",
+    "file/geo.json":
+        "3ce44ce6b6200a90f996438993ae6f2e2eac0752677c6a7d4b18d90ce95d6ab7",
+    "file/replicated_db.json":
+        "19cde829983d089ffb81fbb7603cf3d2e9ee112b36d1f8af5908f8a77ce4a9f9",
+    "sharded_autoscaled":
+        "e9b4f3d0edbad6c477d48e37bd461dcf855a47797bca27b3246ffa082d88c2ef",
+}
+
+
+def build_digest(shape):
+    """Run one shape and hash what its build did over the run."""
+    env = Environment()
+    config = ExperimentConfig(topology=BUILD_SHAPES[shape](),
+                              duration=3.0, seed=5)
+    result = ExperimentRunner(config).run(env=env)
+    system, metrics = result.system, result.metrics
+    lines = ["{} {!r}".format(field.name, getattr(metrics, field.name))
+             for field in fields(metrics) if field.name != "config"]
+    lines.append("events {}".format(env._eid))
+    for name in system.tier_names:
+        lines.append("{} live {} retired {}".format(
+            name, [server.name for server in system.tiers[name]],
+            [server.name for server in system.retired.get(name, ())]))
+    for autoscaler in system.autoscalers:
+        lines.extend("{} {!r} {} {}".format(autoscaler.name, event.at,
+                                            event.action, event.replica)
+                     for event in autoscaler.events)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return digest, system
+
+
+class TestBuildDigest:
+    """What the builder wires for every shipped shape, run end to end."""
+
+    @pytest.mark.parametrize("shape", sorted(BUILD_SHAPES))
+    def test_shape_matches_committed_digest(self, shape):
+        digest, system = build_digest(shape)
+        if shape.endswith("_autoscaled"):
+            # Both autoscaled specs must churn membership both ways, or
+            # they pin nothing about add/remove on their boundary.
+            (autoscaler,) = system.autoscalers
+            assert autoscaler.scale_ups >= 1
+            assert autoscaler.scale_downs >= 1
+        assert digest == BUILD_GOLDENS[shape]
+
+
+if __name__ == "__main__":
+    for name in sorted(BUILD_SHAPES):
+        print("    {!r}:\n        {!r},".format(name, build_digest(name)[0]))

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.cluster.spec import LinkProfileSpec
 from repro.errors import ConfigurationError
 from repro.netmodel.sockets import Link, LinkProfile, NetworkImpairment
 from repro.tiers.base import TierServer
@@ -92,6 +93,57 @@ class NetworkFaultRecord:
     ended_at: Optional[float] = None
 
 
+# -- field rules --------------------------------------------------------------
+# Each rule lives here once: a spec checks its fields when it is built,
+# and the injector method scheduling the same fault checks its
+# arguments through the same helper.
+
+def _require(condition: bool, message: str, value) -> None:
+    if not condition:
+        raise ConfigurationError("{} (got {!r})".format(message, value))
+
+
+def _check_window(at: float, duration: Optional[float],
+                  now: float = 0.0) -> None:
+    """A fault starts no earlier than ``now`` and, unless permanent
+    (``duration=None``), lasts a positive time."""
+    _require(at >= now, "cannot schedule a fault in the past", at)
+    _require(duration is None or duration > 0,
+             "duration must be positive", duration)
+
+
+def _check_factor(factor: float) -> None:
+    _require(factor > 1.0, "slowdown factor must be > 1.0", factor)
+
+
+def _check_impairment(loss: float, extra_latency: float) -> None:
+    _require(0.0 <= loss < 1.0, "loss must be in [0, 1)", loss)
+    _require(extra_latency >= 0, "extra_latency must be >= 0",
+             extra_latency)
+
+
+def _check_extra(extra: float) -> None:
+    _require(extra > 0, "extra latency must be positive", extra)
+
+
+def _check_jitter(jitter: float) -> None:
+    _require(jitter >= 0, "jitter must be >= 0", jitter)
+
+
+def _check_recurring(kind: str, mean_interval: float) -> None:
+    _require(kind in ("crash", "slow"),
+             "recurring fault kind must be 'crash' or 'slow'", kind)
+    _require(mean_interval > 0, "mean_interval must be positive",
+             mean_interval)
+
+
+def _wan_profile(latency: float, jitter: float, loss: float,
+                 rto: float) -> LinkProfileSpec:
+    """A degraded WAN profile, checked by :class:`LinkProfileSpec`."""
+    return LinkProfileSpec(latency=latency, jitter=jitter, loss=loss,
+                           rto=rto)
+
+
 # -- declarative fault specs -----------------------------------------------
 
 @dataclass(frozen=True)
@@ -102,6 +154,9 @@ class CrashFault:
     server: str
     at: float
     duration: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
 
 
 @dataclass(frozen=True)
@@ -117,6 +172,10 @@ class SlowFault:
     at: float
     duration: float
     factor: float = 3.0
+
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
+        _check_factor(self.factor)
 
 
 @dataclass(frozen=True)
@@ -136,6 +195,10 @@ class PacketLossFault:
     extra_latency: float = 0.0
     apache: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
+        _check_impairment(self.loss, self.extra_latency)
+
 
 @dataclass(frozen=True)
 class LinkLatencyFault:
@@ -147,6 +210,10 @@ class LinkLatencyFault:
     at: float
     duration: float
     extra: float = 0.005
+
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
+        _check_extra(self.extra)
 
 
 @dataclass(frozen=True)
@@ -163,6 +230,10 @@ class CorrelatedCrashFault:
     at: float
     duration: Optional[float] = None
     jitter: float = 0.1
+
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
+        _check_jitter(self.jitter)
 
 
 @dataclass(frozen=True)
@@ -183,10 +254,10 @@ class RecurringFault:
     until: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("crash", "slow"):
-            raise ConfigurationError(
-                "RecurringFault.kind must be 'crash' or 'slow', got "
-                + repr(self.kind))
+        _check_recurring(self.kind, self.mean_interval)
+        _check_window(self.start, self.duration)
+        if self.kind == "slow":
+            _check_factor(self.factor)
 
 
 @dataclass(frozen=True)
@@ -205,6 +276,10 @@ class ZoneOutageFault:
     at: float
     duration: Optional[float] = None
     jitter: float = 0.1
+
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
+        _check_jitter(self.jitter)
 
 
 @dataclass(frozen=True)
@@ -226,6 +301,10 @@ class WanDegradationFault:
     jitter: float = 0.02
     loss: float = 0.05
     rto: float = 0.2
+
+    def __post_init__(self) -> None:
+        _check_window(self.at, self.duration)
+        _wan_profile(self.latency, self.jitter, self.loss, self.rto)
 
 
 FaultSpec = Union[CrashFault, SlowFault, PacketLossFault,
@@ -271,19 +350,23 @@ class FaultInjector:
         Overlapping crash windows on the same server are rejected —
         crashing an already-crashed server is undefined behaviour.
         """
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a crash in the past")
-        if duration is not None and duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        end = _INF if duration is None else at + duration
+        _check_window(at, duration, self.env.now)
+        self._book_crash(server, at, _INF if duration is None
+                         else at + duration)
+        self.env.process(self._run_crash(server, at, duration))
+
+    def _book_crash(self, server: TierServer, start: float,
+                    end: float) -> None:
+        """Reserve ``[start, end)`` for crashes of ``server``, unless
+        it overlaps a window already booked."""
         windows = self._crash_windows.setdefault(server.name, [])
-        for start, stop in windows:
-            if at < stop and end > start:
+        for booked_start, booked_end in windows:
+            if start < booked_end and end > booked_start:
                 raise ConfigurationError(
                     "overlapping crash on {}: [{}, {}) collides with "
-                    "[{}, {})".format(server.name, at, end, start, stop))
-        windows.append((at, end))
-        self.env.process(self._run_crash(server, at, duration))
+                    "[{}, {})".format(server.name, start, end,
+                                      booked_start, booked_end))
+        windows.append((start, end))
 
     def _run_crash(self, server: TierServer, at: float,
                    duration: Optional[float]):
@@ -304,13 +387,8 @@ class FaultInjector:
     def slow_at(self, server: TierServer, at: float, duration: float,
                 factor: float = 3.0) -> None:
         """Multiply ``server``'s CPU demand by ``factor`` for a window."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if factor <= 1.0:
-            raise ConfigurationError(
-                "slowdown factor must be > 1.0 (got {!r})".format(factor))
+        _check_window(at, duration, self.env.now)
+        _check_factor(factor)
         self.env.process(self._run_slow(server, at, duration, factor))
 
     def _run_slow(self, server: TierServer, at: float, duration: float,
@@ -331,14 +409,8 @@ class FaultInjector:
                          extra_latency: float = 0.0) -> None:
         """Drop ``loss`` of offers to ``socket`` (and delay survivors)
         for a window."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if not 0.0 <= loss < 1.0:
-            raise ConfigurationError("loss must be in [0, 1)")
-        if extra_latency < 0:
-            raise ConfigurationError("extra_latency must be >= 0")
+        _check_window(at, duration, self.env.now)
+        _check_impairment(loss, extra_latency)
         impairment = NetworkImpairment(
             loss=loss, extra_latency=extra_latency,
             rng=np.random.default_rng(self._rng.integers(2 ** 63)))
@@ -360,12 +432,8 @@ class FaultInjector:
     def add_link_latency_at(self, link: Link, at: float, duration: float,
                             extra: float) -> None:
         """Add ``extra`` one-way latency to ``link`` for a window."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if extra <= 0:
-            raise ConfigurationError("extra latency must be positive")
+        _check_window(at, duration, self.env.now)
+        _check_extra(extra)
         self.env.process(self._run_link_latency(link, at, duration, extra))
 
     def _run_link_latency(self, link: Link, at: float, duration: float,
@@ -383,10 +451,7 @@ class FaultInjector:
     def degrade_wan_at(self, link: Link, at: float, duration: float,
                        profile: LinkProfile) -> None:
         """Swap ``link`` onto ``profile`` for a window, then restore."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        _check_window(at, duration, self.env.now)
         if link.profile is None:
             raise ConfigurationError(
                 "link {} has no WAN profile to degrade".format(link.name))
@@ -415,8 +480,7 @@ class FaultInjector:
                          duration: Optional[float] = None,
                          jitter: float = 0.1) -> None:
         """Crash every server in ``servers`` within ``jitter`` of ``at``."""
-        if jitter < 0:
-            raise ConfigurationError("jitter must be >= 0")
+        _check_jitter(jitter)
         for server in servers:
             offset = float(self._rng.uniform(0.0, jitter)) if jitter else 0.0
             self.crash_at(server, at + offset, duration)
@@ -426,13 +490,20 @@ class FaultInjector:
                   mean_interval: float = 5.0, duration: float = 0.5,
                   factor: float = 3.0, start: float = 0.0,
                   until: Optional[float] = None) -> None:
-        """Repeat a transient fault on an RNG-driven schedule."""
-        if kind not in ("crash", "slow"):
-            raise ConfigurationError(
-                "recurring fault kind must be 'crash' or 'slow'")
-        if mean_interval <= 0 or duration <= 0:
-            raise ConfigurationError(
-                "mean_interval and duration must be positive")
+        """Repeat a transient fault on an RNG-driven schedule.
+
+        A crash schedule books ``[start, until + duration)`` — without
+        ``until``, ``[start, inf)`` — as one crash window, so no other
+        crash of ``server`` may overlap it, whichever is injected
+        first.
+        """
+        _check_recurring(kind, mean_interval)
+        _check_window(start, duration)
+        if kind == "crash":
+            self._book_crash(server, start, _INF if until is None
+                             else until + duration)
+        else:
+            _check_factor(factor)
         self.env.process(self._run_recurring(
             server, kind, mean_interval, duration, factor, start, until))
 
@@ -448,8 +519,8 @@ class FaultInjector:
             if until is not None and self.env.now >= until:
                 return
             if kind == "crash":
-                # Direct episode, bypassing the overlap book-keeping:
-                # the schedule is sequential by construction.
+                # Episodes are sequential by construction, and
+                # recurring() booked the whole schedule's window.
                 server.crash()
                 record = CrashRecord(server.name, self.env.now)
                 self.records.append(record)
@@ -518,9 +589,9 @@ class FaultInjector:
                 raise ConfigurationError(
                     "no WAN links between zones {!r} and {!r}".format(
                         spec.zone_a, spec.zone_b))
-            degraded = LinkProfile(
-                latency=spec.latency, jitter=spec.jitter, loss=spec.loss,
-                rto=spec.rto, name="wan.degraded")
+            degraded = _wan_profile(
+                spec.latency, spec.jitter, spec.loss,
+                spec.rto).runtime(name="wan.degraded")
             for link in links:
                 self.degrade_wan_at(link, spec.at, spec.duration, degraded)
         else:

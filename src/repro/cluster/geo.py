@@ -32,13 +32,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.cluster.faults import (
-    CrashFault,
-    FaultSpec,
-    WanDegradationFault,
-    ZoneOutageFault,
-)
+from repro.cluster.faults import CrashFault, FaultSpec
 from repro.cluster.runner import ExperimentConfig, Grid
+from repro.cluster.scenarios import FAULT_SCENARIOS
 from repro.cluster.spec import TopologySpec
 from repro.errors import ConfigurationError
 
@@ -54,14 +50,11 @@ GEO_DURATION = 12.0
 STARVED_DISK_BANDWIDTH = 3e6
 
 #: Named geo-scale fault timelines, ``duration -> specs`` like
-#: :data:`~repro.cluster.scenarios.FAULT_SCENARIOS`.
+#: :data:`~repro.cluster.scenarios.FAULT_SCENARIOS`, which defines the
+#: two zone timelines; only ``cache_failover`` is geo-specific.
 GEO_FAULTS: dict[str, Callable[[float], tuple[FaultSpec, ...]]] = {
-    "zone_outage": lambda d: (
-        ZoneOutageFault("east", at=0.25 * d, duration=0.3 * d,
-                        jitter=0.02 * d),),
-    "wan_degradation": lambda d: (
-        WanDegradationFault("east", "west", at=0.25 * d,
-                            duration=0.35 * d, latency=0.25, loss=0.05),),
+    "zone_outage": FAULT_SCENARIOS["zone_outage"],
+    "wan_degradation": FAULT_SCENARIOS["wan_degradation"],
     "cache_failover": lambda d: (
         CrashFault("cache1", at=0.25 * d, duration=0.2 * d),),
 }

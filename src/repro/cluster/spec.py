@@ -635,6 +635,10 @@ class TopologySpec:
                 _require(bool(self.zones),
                          "{}: a zone hierarchy needs declared "
                          "zones".format(where))
+                _require(downstream.autoscaler is None,
+                         "{}: a zone hierarchy cannot front an autoscaled "
+                         "tier — the autoscaler has no zone notion "
+                         "yet".format(where))
             if boundary.mode == "sharded":
                 _require(downstream.service == "pooled",
                          "{}: sharded boundaries fan out over a pooled "

@@ -11,7 +11,8 @@ case: it is the spec :meth:`TopologySpec.classic` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -29,14 +30,7 @@ from repro.core.states import StateConfig
 from repro.errors import ConfigurationError
 from repro.netmodel.sockets import Link
 from repro.osmodel.host import Host
-from repro.tiers.base import (
-    DispatchDownstream,
-    FrontendTier,
-    InlineDownstream,
-    PooledTier,
-    TierServer,
-    WorkerTier,
-)
+from repro.tiers.base import FrontendTier, PooledTier, TierServer, WorkerTier
 from repro.tiers.cache import CacheTier
 from repro.tiers.shard import ShardRouter
 
@@ -79,8 +73,11 @@ class NTierSystem:
     #: Replicas removed by scale-down, per tier — kept for accounting
     #: and for in-flight requests that still hold references.
     retired: dict[str, list[TierServer]] = field(default_factory=dict)
-    #: Dispatchers per boundary depth (boundary *d* feeds tier *d*+1);
-    #: replicas added to tier *d*+1 join every dispatcher at depth *d*.
+    #: Membership-tracking dispatchers per boundary depth (boundary *d*
+    #: feeds tier *d*+1): every one answers ``add_backend(server)`` and
+    #: ``remove_backend(server)``, and a replica added to or retired
+    #: from tier *d*+1 joins or leaves every one at depth *d*.  Zone
+    #: routers are not recorded: a hierarchy's tier cannot autoscale.
     dispatchers_by_depth: dict[int, list] = field(default_factory=dict)
     #: Zone routers (one per upstream server of a hierarchy boundary).
     zone_routers: list[ZoneRouter] = field(default_factory=list)
@@ -167,173 +164,373 @@ def build_from_spec(
     override the *frontend* boundary; every other balanced boundary
     takes its bundle from the spec.
     """
-    system = NTierSystem(
-        env=env, spec=spec,
-        tier_names=tuple(tier.name for tier in spec.tiers),
-        tiers={tier.name: [] for tier in spec.tiers})
-
-    downstream: list[TierServer] = []
-    for depth in reversed(range(len(spec.tiers))):
-        tier = spec.tiers[depth]
-        boundary = (spec.boundaries[depth]
-                    if depth < len(spec.boundaries) else None)
-        servers = system.tiers[tier.name]
-        if tier.service == "frontend":
-            # Hosts and servers first, then one dispatcher per server —
-            # the classic construction (and hence event) order.
-            for index in range(tier.replicas):
-                host = _make_host(env, tier, index)
-                server = FrontendTier(
-                    env, host.name, host,
-                    max_clients=tier.capacity, backlog=tier.backlog,
-                    role=tier.name,
-                    cpu_source=tier.effective_cpu_source)
-                server.zone = _zone_of(spec, tier, index)
-                servers.append(server)
-            for server in servers:
-                server.attach_dispatcher(_make_dispatcher(
-                    env, system, server.name, server.zone, boundary,
-                    downstream, depth, trace_balancers, state_config, rng,
-                    policy_factory, mechanism_factory, resilience))
-            _wire_frontend_controlplane(env, system, tier, boundary,
-                                        servers)
-        elif tier.service in ("worker", "cache"):
-            make_replica = _worker_factory(
-                env, system, spec, depth, trace_balancers, state_config,
-                rng, policy_factory, mechanism_factory, resilience)
-            for index in range(tier.replicas):
-                make_replica(index)
-        else:  # pooled
-            make_replica = _pooled_factory(env, system, spec, depth)
-            for index in range(tier.replicas):
-                make_replica(index)
-        downstream = servers
-    # Autoscalers last: they resolve their tier's replica factory
-    # eagerly, and every factory must exist by now.
-    for tier in spec.tiers:
-        if tier.autoscaler is not None:
-            system.autoscalers.append(ReactiveAutoscaler(
-                env, system, tier.name, tier.autoscaler))
-    return system
+    return _Builder(env, spec, rng, trace_balancers, state_config,
+                    policy_factory, mechanism_factory, resilience).build()
 
 
-def _worker_factory(env, system, spec, depth, trace_balancers,
-                    state_config, rng, policy_factory, mechanism_factory,
-                    resilience):
-    """A closure that builds one more replica of the worker tier at
-    ``depth``, appends it to the system and joins it (cold) to every
-    dispatcher feeding the tier.
+class _Builder:
+    """One build's inputs, shared by every construction step.
 
-    Used both for initial construction (when no upstream dispatchers
-    exist yet — the builder runs back to front) and by the autoscaler
-    at runtime (when they do).  Registered in
-    ``system._replica_factories`` for :func:`replica_factory_for`.
+    Tiers are built back to front: each tier's dispatchers need the
+    next tier's servers.  :meth:`replica` outlives the build as every
+    scalable tier's replica factory, so a replica the autoscaler adds
+    is wired exactly as the build wires one.
     """
-    tier = spec.tiers[depth]
-    boundary = (spec.boundaries[depth]
-                if depth < len(spec.boundaries) else None)
-    downstream = (system.tiers[spec.tiers[depth + 1].name]
-                  if depth + 1 < len(spec.tiers) else None)
 
-    def make_replica(index: int) -> TierServer:
-        host = _make_host(env, tier, index)
-        zone = _zone_of(spec, tier, index)
-        if boundary is None:
-            tier_downstream = None
-        elif boundary.mode == "inline":
-            tier_downstream = InlineDownstream(downstream[0])
-        else:
-            tier_downstream = DispatchDownstream(_make_dispatcher(
-                env, system, host.name, zone, boundary, downstream,
-                depth, trace_balancers, state_config, rng,
-                policy_factory, mechanism_factory, resilience))
-        if tier.service == "cache":
-            cache = tier.effective_cache
-            server = CacheTier(
+    def __init__(self, env, spec, rng, trace_balancers, state_config,
+                 policy_factory, mechanism_factory, resilience) -> None:
+        self.env = env
+        self.spec = spec
+        self.rng = rng
+        self.trace_balancers = trace_balancers
+        self.state_config = state_config
+        self.policy_factory = policy_factory
+        self.mechanism_factory = mechanism_factory
+        self.resilience = resilience
+        self.system = NTierSystem(
+            env=env, spec=spec,
+            tier_names=tuple(tier.name for tier in spec.tiers),
+            tiers={tier.name: [] for tier in spec.tiers})
+
+    def build(self) -> NTierSystem:
+        spec, system = self.spec, self.system
+        for depth in reversed(range(len(spec.tiers))):
+            tier = spec.tiers[depth]
+            if tier.service == "frontend":
+                self.frontends(depth)
+                continue
+            system._replica_factories[tier.name] = partial(self.replica,
+                                                           depth)
+            for index in range(tier.replicas):
+                self.replica(depth, index)
+        # Autoscalers last: they resolve their tier's replica factory
+        # eagerly, and every factory must exist by now.
+        for tier in spec.tiers:
+            if tier.autoscaler is not None:
+                system.autoscalers.append(ReactiveAutoscaler(
+                    self.env, system, tier.name, tier.autoscaler))
+        return system
+
+    # -- servers ---------------------------------------------------------
+    def frontends(self, depth: int) -> None:
+        """Build the client-facing tier at ``depth``.
+
+        Hosts and servers first, then one dispatcher per server, then
+        each server's admission, bulkhead and leveling — the classic
+        construction (and hence event) order.
+        """
+        env, spec, system = self.env, self.spec, self.system
+        tier = spec.tiers[depth]
+        servers = system.tiers[tier.name]
+        for index in range(tier.replicas):
+            host = _make_host(env, tier, index)
+            server = FrontendTier(
                 env, host.name, host,
-                max_threads=tier.capacity,
-                rng=rng,
-                downstream=tier_downstream,
-                role=tier.name,
-                cpu_source=tier.effective_cpu_source,
-                hit_ratio=cache.hit_ratio,
-                ttl=cache.ttl,
-                churn=cache.churn,
-                warmup=cache.warmup,
-                hit_cpu_fraction=cache.hit_cpu_fraction)
-        else:
-            server = WorkerTier(
-                env, host.name, host,
-                max_threads=tier.capacity,
-                downstream=tier_downstream,
+                max_clients=tier.capacity, backlog=tier.backlog,
                 role=tier.name,
                 cpu_source=tier.effective_cpu_source)
-        server.zone = zone
-        _join_tier(system, tier.name, depth, server)
-        return server
+            server.zone = _zone_of(spec, tier, index)
+            servers.append(server)
+        for server in servers:
+            server.attach_dispatcher(
+                self.dispatcher(server.name, server.zone, depth))
+        leveling = spec.boundaries[depth].leveling
+        for server in servers:
+            if tier.admission is not None:
+                controller = TokenBucketAdmission(
+                    env, tier.admission, name=server.name + ".admission")
+                server.install_admission(controller)
+                system.admissions.append(controller)
+            self._bulkhead(server, tier.bulkhead)
+            if leveling is not None:
+                system.levelers.append(server.install_leveling(leveling))
 
-    system._replica_factories[tier.name] = make_replica
-    return make_replica
+    def replica(self, depth: int, index: int) -> TierServer:
+        """Build the ``index``-th replica of the tier at ``depth``.
 
-
-def _pooled_factory(env, system, spec, depth):
-    """Replica factory for a pooled tier (see :func:`_worker_factory`)."""
-    tier = spec.tiers[depth]
-
-    def make_replica(index: int) -> TierServer:
+        The replica joins its tier and, cold, every dispatcher feeding
+        the tier: none during the build, every upstream one when the
+        autoscaler adds it at runtime.  A worker replica's own
+        dispatcher is built before the server.
+        """
+        env, spec, system = self.env, self.spec, self.system
+        tier = spec.tiers[depth]
         host = _make_host(env, tier, index)
-        server = PooledTier(
-            env, host.name, host,
-            max_connections=tier.capacity,
-            role=tier.name,
-            cpu_source=tier.effective_cpu_source)
-        server.zone = _zone_of(spec, tier, index)
-        if tier.bulkhead is not None:
-            bulkhead = Bulkhead(env, tier.bulkhead,
-                                name=server.name + ".bulkhead")
-            server.install_bulkhead(bulkhead)
-            system.bulkheads.append(bulkhead)
-        _join_tier(system, tier.name, depth, server)
+        zone = _zone_of(spec, tier, index)
+        if tier.service == "pooled":
+            server = PooledTier(
+                env, host.name, host,
+                max_connections=tier.capacity,
+                role=tier.name,
+                cpu_source=tier.effective_cpu_source)
+        else:
+            downstream = None
+            if depth < len(spec.boundaries):
+                if spec.boundaries[depth].mode == "inline":
+                    downstream = system.tiers[
+                        spec.tiers[depth + 1].name][0].query
+                else:
+                    downstream = self.dispatcher(host.name, zone,
+                                                 depth).dispatch
+            if tier.service == "cache":
+                # CacheSpec's fields are CacheTier's cache keywords.
+                model, extra = CacheTier, dict(
+                    asdict(tier.effective_cache), rng=self.rng)
+            else:
+                model, extra = WorkerTier, {}
+            server = model(
+                env, host.name, host,
+                max_threads=tier.capacity,
+                downstream=downstream,
+                role=tier.name,
+                cpu_source=tier.effective_cpu_source,
+                **extra)
+        server.zone = zone
+        self._bulkhead(server, tier.bulkhead)
+        system.tiers[tier.name].append(server)
+        for dispatcher in system.dispatchers_by_depth.get(depth - 1, ()):
+            dispatcher.add_backend(server)
         return server
 
-    system._replica_factories[tier.name] = make_replica
-    return make_replica
+    def _bulkhead(self, server: TierServer, config) -> None:
+        """Install a bulkhead on a frontend or pooled server, if set."""
+        if config is None:
+            return
+        bulkhead = Bulkhead(self.env, config,
+                            name=server.name + ".bulkhead")
+        server.install_bulkhead(bulkhead)
+        self.system.bulkheads.append(bulkhead)
 
+    # -- dispatchers -----------------------------------------------------
+    def dispatcher(self, owner: str, zone: Optional[str], depth: int):
+        """``owner``'s dispatcher over the replicas of tier ``depth + 1``.
 
-def _join_tier(system: NTierSystem, tier_name: str, depth: int,
-               server: TierServer) -> None:
-    """Append ``server`` to its tier and join every feeding dispatcher.
-
-    During initial construction the dispatcher registry at ``depth - 1``
-    is still empty (tiers build back to front), so this is a plain
-    append; at runtime a scaled-up replica joins every upstream
-    balancer cold (``preconnect=False`` — no established connections).
-    """
-    system.tiers[tier_name].append(server)
-    for dispatcher in system.dispatchers_by_depth.get(depth - 1, ()):
-        if isinstance(dispatcher, LoadBalancer):
-            dispatcher.add_member(server, preconnect=False)
+        The membership-tracking dispatcher (direct, shard router or flat
+        balancer) is recorded in ``dispatchers_by_depth``; what is
+        returned may wrap it in a hedger or a leveling queue.  A zone
+        hierarchy records nothing: its tier cannot autoscale.
+        """
+        env, system = self.env, self.system
+        boundary = self.spec.boundaries[depth]
+        downstream = system.tiers[self.spec.tiers[depth + 1].name]
+        link_factory = self._link_factory(owner, zone, boundary)
+        if boundary.mode == "direct":
+            dispatcher = members = DirectDispatcher(
+                env, list(downstream), link_factory=link_factory)
+            system.direct_dispatchers.append(dispatcher)
+        elif boundary.mode == "sharded":
+            shard = boundary.effective_shard
+            dispatcher = members = ShardRouter(
+                env, owner + ".shards", list(downstream),
+                rng=self.rng,
+                virtual_nodes=shard.virtual_nodes,
+                key_space=shard.key_space,
+                skew=shard.skew,
+                link_factory=link_factory)
+            system.shard_routers.append(dispatcher)
+        elif boundary.hierarchy:
+            return self._level(owner, depth, self._zone_router(
+                owner, zone, depth, downstream, link_factory))
         else:
-            dispatcher.add_backend(server)
+            members, dispatcher = self._balancer(
+                owner + ".lb", downstream,
+                self.spec.tiers[depth + 1].weights, depth, link_factory)
+        # Membership churn applies to the dispatcher itself, never a
+        # wrapper.
+        system.dispatchers_by_depth.setdefault(depth, []).append(members)
+        return self._level(owner, depth, dispatcher)
 
+    def _balancer(self, name: str, servers, weights, depth: int,
+                  link_factory):
+        """One balancer on the balanced boundary at ``depth``.
 
-def _wire_frontend_controlplane(env, system, tier, boundary,
-                                servers) -> None:
-    """Attach spec-declared control-plane mechanisms to a frontend tier."""
-    for server in servers:
-        if tier.admission is not None:
-            controller = TokenBucketAdmission(
-                env, tier.admission, name=server.name + ".admission")
-            server.install_admission(controller)
-            system.admissions.append(controller)
-        if tier.bulkhead is not None:
-            bulkhead = Bulkhead(env, tier.bulkhead,
-                                name=server.name + ".bulkhead")
-            server.install_bulkhead(bulkhead)
-            system.bulkheads.append(bulkhead)
-        if boundary.leveling is not None:
-            system.levelers.append(
-                server.install_leveling(boundary.leveling))
+        Returns the balancer and the dispatcher to forward through:
+        the balancer itself or its hedging wrapper.
+        """
+        boundary = self.spec.boundaries[depth]
+        make_policy, make_mechanism = self._factories(depth)
+        resilience = self._resilience(depth)
+        policy = make_policy()
+        if boundary.probe is not None or boundary.affinity is not None:
+            # configure() raises when the policy cannot consume the
+            # tuning (probe knobs on total_request, affinity on
+            # prequal, ...), so a spec cannot silently carry dead
+            # configuration.
+            policy.configure(probe=boundary.probe,
+                             affinity=boundary.affinity)
+        balancer = LoadBalancer(
+            self.env, name, servers,
+            policy=policy,
+            mechanism=make_mechanism(),
+            rng=self.rng,
+            pool_size=boundary.pool_size or BOUNDARY_POOL_SIZE,
+            trace=self.trace_balancers,
+            state_config=self.state_config,
+            weights=weights,
+            link_factory=link_factory,
+        )
+        self.system.balancers.append(balancer)
+        return balancer, self._wire_resilience(balancer, resilience)
+
+    def _zone_router(self, owner: str, zone: Optional[str], depth: int,
+                     downstream, link_factory) -> ZoneRouter:
+        """Zone-local balancers under a global locality-first router."""
+        resilience = self._resilience(depth)
+        if resilience is not None and resilience.hedge is not None:
+            raise ConfigurationError(
+                "hedging is not supported on zone-hierarchy boundaries "
+                "— hedge through the zone-local balancers instead")
+        # Group the downstream replicas by zone, preserving replica
+        # order inside each zone; one zone-local balancer per group.
+        weights = self.spec.tiers[depth + 1].weights
+        groups: dict[str, list] = {}
+        group_weights: dict[str, list] = {}
+        for index, server in enumerate(downstream):
+            groups.setdefault(server.zone, []).append(server)
+            if weights is not None:
+                group_weights.setdefault(server.zone, []).append(
+                    weights[index])
+        zone_balancers = {
+            group: self._balancer(
+                "{}.{}.lb".format(owner, group), groups[group],
+                group_weights.get(group), depth, link_factory)[0]
+            for group in sorted(groups)}
+        home_zone = (zone if zone in zone_balancers
+                     else sorted(zone_balancers)[0])
+        router = ZoneRouter(self.env, owner + ".zones", zone_balancers,
+                            home_zone=home_zone)
+        self.system.zone_routers.append(router)
+        return router
+
+    def _level(self, owner: str, depth: int, dispatcher):
+        """Wrap a mid-tier dispatcher in its boundary's leveling queue.
+
+        The frontend boundary (depth 0) integrates leveling natively
+        inside :class:`~repro.tiers.base.FrontendTier` — the worker
+        answers the client while drains dispatch — so only deeper
+        boundaries take the request/reply wrapper.
+        """
+        leveling = self.spec.boundaries[depth].leveling
+        if depth == 0 or leveling is None:
+            return dispatcher
+        leveled = LevelingDispatcher(self.env, dispatcher, leveling,
+                                     name=owner + ".leveling")
+        self.system.levelers.append(leveled.queue)
+        return leveled
+
+    def _factories(self, depth: int):
+        """Resolve the policy/mechanism pair for one balanced boundary."""
+        if depth == 0 and (self.policy_factory is not None
+                           or self.mechanism_factory is not None):
+            if self.policy_factory is None or self.mechanism_factory is None:
+                raise ConfigurationError(
+                    "pass both policy_factory and mechanism_factory")
+            return self.policy_factory, self.mechanism_factory
+        bundle = self.spec.boundaries[depth].bundle
+        if bundle is not None:
+            bundle = get_bundle(bundle)
+            return bundle.make_policy, bundle.make_mechanism
+        raise ConfigurationError(
+            "balanced boundary {} names no policy bundle (set its bundle, "
+            "or pass policy/mechanism factories for boundary 0)".format(
+                depth))
+
+    def _resilience(self, depth: int) -> Optional["ResilienceConfig"]:
+        """Resolve one boundary's resilience configuration.
+
+        At boundary 0 a ``resilience`` carrying hedge, breaker or probes
+        replaces the spec's bundle, so the spec may not name one too
+        (the rule ``ExperimentConfig.spec()`` applies to the control
+        plane).  A retry-only ``resilience`` drives the clients and
+        leaves the spec's bundle wired.
+        """
+        named = self.spec.boundaries[depth].resilience
+        resilience = self.resilience
+        if depth == 0 and resilience is not None and (
+                resilience.hedge is not None
+                or resilience.breaker is not None
+                or resilience.probes is not None):
+            if named is not None:
+                raise ConfigurationError(
+                    "boundary 0: resilience is set by both the topology "
+                    "({!r}) and ExperimentConfig.resilience".format(named))
+            return resilience
+        if named is not None:
+            from repro.resilience import get_resilience
+
+            return get_resilience(named)
+        return None
+
+    def _wire_resilience(self, balancer: LoadBalancer, resilience):
+        """Install the configured remedies around one balancer.
+
+        Returns the dispatcher the upstream server should use: the
+        balancer itself, or its hedging wrapper.
+        """
+        if resilience is None:
+            return balancer
+        env, system = self.env, self.system
+        if resilience.breaker is not None:
+            from repro.resilience.breaker import CircuitBreaker
+
+            balancer.install_breakers([
+                CircuitBreaker(env, resilience.breaker)
+                for _ in balancer.members
+            ])
+        if resilience.probes is not None:
+            from repro.resilience.probes import HealthProber
+
+            system.probers.append(HealthProber(
+                env, balancer.members, resilience.probes, rng=self.rng,
+                name=balancer.name + ".prober"))
+        if resilience.hedge is not None:
+            from repro.resilience.hedge import HedgingDispatcher
+
+            hedger = HedgingDispatcher(env, balancer, resilience.hedge)
+            system.hedgers.append(hedger)
+            return hedger
+        return balancer
+
+    def _link_factory(self, owner: str, owner_zone: Optional[str],
+                      boundary):
+        """Build the member-link factory for one upstream dispatcher.
+
+        Returns ``None`` when every hop is intra-zone with no boundary
+        override — the dispatcher then builds its legacy fixed-latency
+        links and the construction stays byte-identical to the
+        zone-free world.
+        """
+        env, spec = self.env, self.spec
+        zoned = bool(spec.zones)
+        if not zoned and boundary.link is None:
+            return None
+
+        def make_link(server) -> Link:
+            target_zone = getattr(server, "zone", None)
+            profile_spec = None
+            pair = None
+            if zoned and owner_zone is not None \
+                    and target_zone is not None \
+                    and owner_zone != target_zone:
+                pair = tuple(sorted((owner_zone, target_zone)))
+                profile_spec = (boundary.link
+                                if boundary.link is not None
+                                else _wan_profile_between(
+                                    spec, owner_zone, target_zone))
+            elif not zoned and boundary.link is not None:
+                # Zone-free topology with an explicit boundary link:
+                # every hop on the boundary is a (uniform) WAN hop.
+                profile_spec = boundary.link
+            if profile_spec is None:
+                return Link(env, name="{}->{}".format(owner, server.name))
+            link_name = "{}=>{}".format(owner, server.name)
+            link = Link(env, profile_spec.latency, name=link_name,
+                        profile=profile_spec.runtime(name=link_name),
+                        rng=self.rng, zone_pair=pair)
+            self.system.wan_links.append(link)
+            return link
+
+        return make_link
 
 
 def replica_factory_for(system: NTierSystem,
@@ -372,17 +569,7 @@ def retire_replica(system: NTierSystem, tier_name: str,
     system.retired.setdefault(tier_name, []).append(server)
     depth = system.tier_names.index(tier_name)
     for dispatcher in system.dispatchers_by_depth.get(depth - 1, ()):
-        if isinstance(dispatcher, LoadBalancer):
-            if any(member.name == server.name
-                   for member in dispatcher.members):
-                dispatcher.retire_member(server.name)
-        elif isinstance(dispatcher, ZoneRouter):
-            if any(member.name == server.name
-                   for balancer in dispatcher.zone_balancers.values()
-                   for member in balancer.members):
-                dispatcher.retire_member(server.name)
-        elif server in dispatcher.backends:
-            dispatcher.remove_backend(server)
+        dispatcher.remove_backend(server)
 
 
 def _zone_of(spec: TopologySpec, tier: TierSpec,
@@ -418,47 +605,6 @@ def _wan_profile_between(spec: TopologySpec, zone_a: str,
     return LinkProfileSpec()
 
 
-def _link_factory_for(env, system, owner_name: str,
-                      owner_zone: Optional[str], boundary, rng):
-    """Build the member-link factory for one upstream server's dispatcher.
-
-    Returns ``None`` when every hop is intra-zone with no boundary
-    override — the dispatcher then builds its legacy fixed-latency
-    links and the construction stays byte-identical to the zone-free
-    world.
-    """
-    spec = system.spec
-    zoned = bool(spec.zones)
-    if not zoned and boundary.link is None:
-        return None
-
-    def make_link(server) -> Link:
-        target_zone = getattr(server, "zone", None)
-        profile_spec = None
-        pair = None
-        if zoned and owner_zone is not None and target_zone is not None \
-                and owner_zone != target_zone:
-            pair = tuple(sorted((owner_zone, target_zone)))
-            profile_spec = (boundary.link
-                            if boundary.link is not None
-                            else _wan_profile_between(
-                                spec, owner_zone, target_zone))
-        elif not zoned and boundary.link is not None:
-            # Zone-free topology with an explicit boundary link: every
-            # hop on the boundary is a (uniform) WAN hop.
-            profile_spec = boundary.link
-        if profile_spec is None:
-            return Link(env, name="{}->{}".format(owner_name, server.name))
-        link_name = "{}=>{}".format(owner_name, server.name)
-        link = Link(env, profile_spec.latency, name=link_name,
-                    profile=profile_spec.runtime(name=link_name),
-                    rng=rng, zone_pair=pair)
-        system.wan_links.append(link)
-        return link
-
-    return make_link
-
-
 def _make_host(env: "Environment", tier: TierSpec, index: int) -> Host:
     kwargs = {}
     if tier.disk_bandwidth is not None:
@@ -467,187 +613,3 @@ def _make_host(env: "Environment", tier: TierSpec, index: int) -> Host:
         kwargs["flush_profile"] = tier.flush.profile(index)
     return Host(env, "{}{}".format(tier.name, index + 1),
                 cores=tier.cores, **kwargs)
-
-
-def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
-                     downstream, depth, trace_balancers, state_config, rng,
-                     policy_factory, mechanism_factory, resilience):
-    """One upstream server's dispatcher over the next tier's replicas."""
-    link_factory = _link_factory_for(env, system, owner_name, owner_zone,
-                                     boundary, rng)
-    if boundary.mode == "direct":
-        dispatcher = DirectDispatcher(env, list(downstream),
-                                      link_factory=link_factory)
-        system.direct_dispatchers.append(dispatcher)
-        system.dispatchers_by_depth.setdefault(depth, []).append(dispatcher)
-        return _maybe_level(env, system, owner_name, boundary, depth,
-                            dispatcher)
-    if boundary.mode == "sharded":
-        shard = boundary.effective_shard
-        dispatcher = ShardRouter(
-            env, owner_name + ".shards", list(downstream),
-            rng=rng,
-            virtual_nodes=shard.virtual_nodes,
-            key_space=shard.key_space,
-            skew=shard.skew,
-            link_factory=link_factory)
-        system.shard_routers.append(dispatcher)
-        system.dispatchers_by_depth.setdefault(depth, []).append(dispatcher)
-        return _maybe_level(env, system, owner_name, boundary, depth,
-                            dispatcher)
-    make_policy, make_mechanism = _boundary_factories(
-        boundary, depth, policy_factory, mechanism_factory)
-    weights = system.spec.tiers[depth + 1].weights
-    boundary_resilience = _boundary_resilience(boundary, depth, resilience)
-
-    def make_balancer(name, servers, zone_weights):
-        policy = make_policy()
-        if boundary.probe is not None or boundary.affinity is not None:
-            # configure() raises when the policy cannot consume the
-            # tuning (probe knobs on total_request, affinity on
-            # prequal, ...), so a spec cannot silently carry dead
-            # configuration.
-            policy.configure(probe=boundary.probe,
-                             affinity=boundary.affinity)
-        balancer = LoadBalancer(
-            env, name, servers,
-            policy=policy,
-            mechanism=make_mechanism(),
-            rng=rng,
-            pool_size=boundary.pool_size or BOUNDARY_POOL_SIZE,
-            trace=trace_balancers,
-            state_config=state_config,
-            weights=zone_weights,
-            link_factory=link_factory,
-        )
-        system.balancers.append(balancer)
-        return balancer
-
-    if boundary.hierarchy:
-        if boundary_resilience is not None \
-                and boundary_resilience.hedge is not None:
-            raise ConfigurationError(
-                "hedging is not supported on zone-hierarchy boundaries "
-                "— hedge through the zone-local balancers instead")
-        # Group the downstream replicas by zone, preserving replica
-        # order inside each zone; one zone-local balancer per group
-        # under a global locality-first router.
-        groups: dict[str, list] = {}
-        group_weights: dict[str, list] = {}
-        for index, server in enumerate(downstream):
-            zone = getattr(server, "zone", None)
-            groups.setdefault(zone, []).append(server)
-            if weights is not None:
-                group_weights.setdefault(zone, []).append(weights[index])
-        zone_balancers = {}
-        for zone in sorted(groups):
-            balancer = make_balancer(
-                "{}.{}.lb".format(owner_name, zone), groups[zone],
-                group_weights.get(zone))
-            _wire_resilience(env, system, balancer, boundary_resilience,
-                             rng)
-            zone_balancers[zone] = balancer
-        home_zone = (owner_zone if owner_zone in zone_balancers
-                     else sorted(zone_balancers)[0])
-        router = ZoneRouter(env, owner_name + ".zones", zone_balancers,
-                            home_zone=home_zone)
-        system.zone_routers.append(router)
-        # Membership churn routes through the router (it forwards to
-        # the owning zone's balancer).
-        system.dispatchers_by_depth.setdefault(depth, []).append(router)
-        return _maybe_level(env, system, owner_name, boundary, depth,
-                            router)
-    balancer = make_balancer(owner_name + ".lb", downstream, weights)
-    # Membership churn applies to the balancer itself, never a wrapper.
-    system.dispatchers_by_depth.setdefault(depth, []).append(balancer)
-    dispatcher = _wire_resilience(
-        env, system, balancer, boundary_resilience, rng)
-    return _maybe_level(env, system, owner_name, boundary, depth,
-                        dispatcher)
-
-
-def _maybe_level(env, system, owner_name, boundary, depth, dispatcher):
-    """Wrap a mid-tier dispatcher in its boundary's leveling queue.
-
-    The frontend boundary (depth 0) integrates leveling natively inside
-    :class:`~repro.tiers.base.FrontendTier` — the worker answers the
-    client while drains dispatch — so only deeper boundaries take the
-    request/reply wrapper.
-    """
-    if depth == 0 or boundary.leveling is None:
-        return dispatcher
-    leveled = LevelingDispatcher(env, dispatcher, boundary.leveling,
-                                 name=owner_name + ".leveling")
-    system.levelers.append(leveled.queue)
-    return leveled
-
-
-def _boundary_factories(boundary, depth, policy_factory, mechanism_factory):
-    """Resolve the policy/mechanism pair for one balanced boundary."""
-    if depth == 0 and (policy_factory is not None
-                       or mechanism_factory is not None):
-        if policy_factory is None or mechanism_factory is None:
-            raise ConfigurationError(
-                "pass both policy_factory and mechanism_factory")
-        return policy_factory, mechanism_factory
-    if boundary.bundle is not None:
-        bundle = get_bundle(boundary.bundle)
-        return bundle.make_policy, bundle.make_mechanism
-    raise ConfigurationError(
-        "balanced boundary {} names no policy bundle (set its bundle, "
-        "or pass policy/mechanism factories for boundary 0)".format(depth))
-
-
-def _boundary_resilience(boundary, depth, resilience):
-    """Resolve one boundary's resilience configuration.
-
-    At boundary 0 a ``resilience`` carrying hedge, breaker or probes
-    replaces the spec's bundle, so the spec may not name one too (the
-    rule ``ExperimentConfig.spec()`` applies to the control plane).  A
-    retry-only ``resilience`` drives the clients and leaves the spec's
-    bundle wired.
-    """
-    if depth == 0 and resilience is not None and (
-            resilience.hedge is not None or resilience.breaker is not None
-            or resilience.probes is not None):
-        if boundary.resilience is not None:
-            raise ConfigurationError(
-                "boundary 0: resilience is set by both the topology "
-                "({!r}) and ExperimentConfig.resilience".format(
-                    boundary.resilience))
-        return resilience
-    if boundary.resilience is not None:
-        from repro.resilience import get_resilience
-
-        return get_resilience(boundary.resilience)
-    return None
-
-
-def _wire_resilience(env, system, balancer, resilience, rng):
-    """Install the configured remedies around one balancer.
-
-    Returns the dispatcher the upstream server should use: the
-    balancer itself, or its hedging wrapper.
-    """
-    if resilience is None:
-        return balancer
-    if resilience.breaker is not None:
-        from repro.resilience.breaker import CircuitBreaker
-
-        balancer.install_breakers([
-            CircuitBreaker(env, resilience.breaker)
-            for _ in balancer.members
-        ])
-    if resilience.probes is not None:
-        from repro.resilience.probes import HealthProber
-
-        system.probers.append(HealthProber(
-            env, balancer.members, resilience.probes, rng=rng,
-            name=balancer.name + ".prober"))
-    if resilience.hedge is not None:
-        from repro.resilience.hedge import HedgingDispatcher
-
-        hedger = HedgingDispatcher(env, balancer, resilience.hedge)
-        system.hedgers.append(hedger)
-        return hedger
-    return balancer

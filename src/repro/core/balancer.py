@@ -23,7 +23,6 @@ from repro.core.states import MemberState, StateConfig
 from repro.errors import ConfigurationError, NoCandidateError
 from repro.metrics.windows import PAPER_WINDOW, WindowedCounter
 from repro.netmodel.sockets import Link
-from repro.sim.events import Event
 from repro.sim.monitor import TraceLog
 from repro.workload.request import Request
 
@@ -134,10 +133,10 @@ class LoadBalancer:
         self.policy.on_member_state(member)
 
     # -- membership (autoscaling) ---------------------------------------------
-    def add_member(self, server, preconnect: bool = False) -> BalancerMember:
-        """Join ``server`` to the rotation, cold by default.
+    def add_backend(self, server) -> None:
+        """Join ``server`` to the rotation, cold.
 
-        ``preconnect=False`` models a freshly provisioned backend: no
+        The new member models a freshly provisioned backend: no
         established AJP connections, so its first requests pay the
         connection handshake (which needs the server responsive) like a
         real just-booted replica.  When the balancer is breaker-gated,
@@ -150,7 +149,7 @@ class LoadBalancer:
             state_config=self._state_config,
             link=self._make_link(server),
             trace=self._trace,
-            preconnect=preconnect,
+            preconnect=False,
         )
         self._member_serial += 1
         member.on_state_change = self._member_state_changed
@@ -163,29 +162,27 @@ class LoadBalancer:
         self.members.append(member)
         self._member_state_changed(member)
         self.policy.on_member_added(member)
-        return member
 
-    def retire_member(self, name: str) -> BalancerMember:
-        """Remove the member for backend ``name`` from the rotation.
+    def remove_backend(self, server) -> None:
+        """Take ``server``'s member out of the rotation.
 
         The member moves to :attr:`retired_members` so completed-work
         accounting (and in-flight requests holding a reference) stay
         intact; it simply stops being a dispatch candidate.
         """
         for position, member in enumerate(self.members):
-            if member.name == name:
+            if member.server is server:
                 break
         else:
             raise ConfigurationError(
-                "{} has no member named {}".format(self.name, name))
+                "{} has no member for {}".format(self.name, server.name))
         if len(self.members) == 1:
             raise ConfigurationError(
                 "cannot retire the last member of " + self.name)
-        member = self.members.pop(position)
+        self.members.pop(position)
         self.retired_members.append(member)
         self._member_state_changed(member)
         self.policy.on_member_removed(member)
-        return member
 
     # -- resilience wiring ----------------------------------------------------
     def install_breakers(self, breakers: Sequence,
@@ -454,18 +451,8 @@ class DirectDispatcher:
         span = (tracer.start(request.request_id, "balancer.send",
                              member=backend.name, direct=True)
                 if tracer is not None else None)
-        reply: Event = Event(self.env)
         try:
-            if link.profile is None:
-                yield link.delay()
-                backend.submit(request, reply)
-                yield reply
-                yield link.delay()
-            else:
-                yield from link.transit(request)
-                backend.submit(request, reply)
-                yield reply
-                yield from link.transit(request)
+            yield from link.round_trip(backend, request)
         finally:
             if tracer is not None:
                 tracer.finish(span)
@@ -482,6 +469,10 @@ class ZoneRouter:
     Error), at which point it *spills over* to the remaining zones in
     deterministic (sorted) order.  Whether that containment actually
     helps against millibottlenecks is the experiment, not a premise.
+
+    Zone membership is fixed at build time: the autoscaler has no zone
+    notion, so the spec layer rejects a hierarchy over an autoscaled
+    tier.
     """
 
     def __init__(self, env: "Environment", name: str,
@@ -508,36 +499,6 @@ class ZoneRouter:
         #: Requests the home zone could not place (all local members
         #: Error) that were re-dispatched across the WAN.
         self.spillovers = 0
-
-    @property
-    def backends(self) -> list:
-        """Every live backend across all zones (membership protocol)."""
-        servers = []
-        for balancer in self.zone_balancers.values():
-            servers.extend(m.server for m in balancer.members)
-        return servers
-
-    def balancer_for(self, server) -> LoadBalancer:
-        """The zone-local balancer owning ``server``'s zone."""
-        zone = getattr(server, "zone", None) or self.home_zone
-        try:
-            return self.zone_balancers[zone]
-        except KeyError:
-            raise ConfigurationError(
-                "zone router {!r} has no balancer for zone {!r}".format(
-                    self.name, zone))
-
-    def add_backend(self, server) -> None:
-        """Join a (scaled-in) backend to its zone's balancer, cold."""
-        self.balancer_for(server).add_member(server, preconnect=False)
-
-    def retire_member(self, name: str) -> BalancerMember:
-        """Retire the member named ``name`` from whichever zone owns it."""
-        for balancer in self.zone_balancers.values():
-            if any(member.name == name for member in balancer.members):
-                return balancer.retire_member(name)
-        raise ConfigurationError(
-            "{} has no member named {}".format(self.name, name))
 
     def dispatch(self, request: Request):
         """Process generator: locality-first dispatch with spillover."""

@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import SimulationError
 from repro.metrics.timeseries import TimeSeries
 from repro.netmodel.sockets import Link
-from repro.sim.events import Event
 from repro.sim.resources import Request as SlotRequest
 from repro.sim.resources import Resource
 from repro.core.states import MemberState, StateConfig
@@ -203,18 +202,7 @@ class BalancerMember:
     # -- data path ---------------------------------------------------------
     def send(self, request: Request):
         """Process generator: forward ``request`` and await the response."""
-        reply: Event = Event(self.env)
-        if self.link.profile is None:
-            yield self.link.delay()
-            self.server.submit(request, reply)
-            yield reply
-            yield self.link.delay()
-        else:
-            # Cross-zone hop: pay WAN RTT/loss on both directions.
-            yield from self.link.transit(request)
-            self.server.submit(request, reply)
-            yield reply
-            yield from self.link.transit(request)
+        return self.link.round_trip(self.server, request)
 
     def __repr__(self) -> str:
         return "<Member {} {} lb={:.1f} inflight={}>".format(

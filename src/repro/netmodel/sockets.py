@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.metrics.timeseries import TimeSeries
+from repro.sim.events import Event
 from repro.sim.queues import DropQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -266,6 +267,26 @@ class Link:
         finally:
             if span is not None:
                 tracer.finish(span)
+
+    def round_trip(self, server, item):
+        """Process generator: carry ``item`` to ``server`` and back.
+
+        The one request hop of every tier boundary: cross the link
+        (:meth:`delay` on a LAN link, :meth:`transit` on a WAN link),
+        hand ``item`` to ``server.submit`` with a fresh reply event,
+        wait for the reply and cross back.
+        """
+        reply = Event(self.env)
+        if self.profile is None:
+            yield self.delay()
+            server.submit(item, reply)
+            yield reply
+            yield self.delay()
+        else:
+            yield from self.transit(item)
+            server.submit(item, reply)
+            yield reply
+            yield from self.transit(item)
 
     def __repr__(self) -> str:
         return "<Link {} {:.3f} ms>".format(self.name, self.latency * 1000)

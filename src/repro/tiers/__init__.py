@@ -8,10 +8,8 @@ instance of one generic service model of :mod:`repro.tiers.base`:
 
 from repro.tiers.base import (
     PRE_DB_FRACTION,
-    DispatchDownstream,
     Dispatcher,
     FrontendTier,
-    InlineDownstream,
     PooledTier,
     TierServer,
     WorkerTier,
@@ -22,8 +20,6 @@ __all__ = [
     "FrontendTier",
     "WorkerTier",
     "PooledTier",
-    "InlineDownstream",
-    "DispatchDownstream",
     "Dispatcher",
     "PRE_DB_FRACTION",
 ]

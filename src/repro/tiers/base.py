@@ -7,22 +7,21 @@ The paper's three servers — Apache, Tomcat, MySQL — are three
 * :class:`FrontendTier` — accept socket + worker pool, dispatches
   downstream through an attached :class:`Dispatcher` (the Apache
   service model: where the paper's packet drops happen);
-* :class:`WorkerTier` — unbounded job queue + thread pool, with a
-  pluggable *downstream call pattern* (the Tomcat service model);
+* :class:`WorkerTier` — unbounded job queue + thread pool, calling
+  its ``downstream`` on the worker thread (the Tomcat service model);
 * :class:`PooledTier` — passive bounded connection pool; work runs on
   the caller's process, or on a spawned one when the tier sits behind
-  a balancer (the MySQL service model).
+  a dispatcher (the MySQL service model).
 
-The downstream call pattern is itself composable:
-
-* :class:`InlineDownstream` — run the downstream server's ``query``
-  generator on the calling worker thread (the classic Tomcat→MySQL
-  wiring: one servlet thread holds one DB connection end to end);
-* :class:`DispatchDownstream` — forward through a dispatcher (a
-  :class:`~repro.core.balancer.LoadBalancer` or
-  :class:`~repro.core.balancer.DirectDispatcher`), which is what lets
-  a mid-chain tier both receive balanced traffic and balance over the
-  next tier — balancer-per-boundary.
+A worker tier's ``downstream`` is a plain callable ``request ->
+process generator``.  The topology builder passes a pooled server's
+``query`` on an inline boundary (the classic Tomcat→MySQL wiring: one
+servlet thread holds one DB connection end to end) and a dispatcher's
+``dispatch`` on every other boundary — which is what lets a mid-chain
+tier both receive balanced traffic and balance over the next tier.
+Every dispatcher crosses the network the same way, through
+:meth:`~repro.netmodel.sockets.Link.round_trip` into the next tier's
+``submit``.
 
 Each model's ``role`` and ``cpu_source`` default to the paper's tier
 (``"apache"``, ``"tomcat"``, ``"mysql"``), so the classic topology is
@@ -31,7 +30,7 @@ these models with their defaults.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Protocol
 
 from repro.errors import ConfigurationError, NoCandidateError
 from repro.netmodel.sockets import ListenSocket
@@ -55,6 +54,12 @@ class Dispatcher(Protocol):
     def dispatch(self, request: Request):
         """Process generator yielding until the response is available."""
         ...  # pragma: no cover
+
+
+#: A worker tier's call into the next tier: ``request -> process
+#: generator`` (a pooled server's ``query`` or a dispatcher's
+#: ``dispatch``).
+Downstream = Callable[[Request], Generator]
 
 
 class TierServer:
@@ -133,41 +138,6 @@ class TierServer:
     def __repr__(self) -> str:
         return "<{} {} in_server={}>".format(
             type(self).__name__, self.name, self.in_server)
-
-
-# -- downstream call patterns ----------------------------------------------
-
-class InlineDownstream:
-    """Run the downstream tier's work on the calling worker thread.
-
-    The classic Tomcat→MySQL wiring: the servlet thread checks a
-    connection out of the (single, unreplicated) downstream server's
-    pool and runs every query itself.  No dispatcher, no extra link
-    hops — byte-identical to the seed system.
-    """
-
-    def __init__(self, server: "PooledTier") -> None:
-        self.server = server
-
-    def call(self, request: Request):
-        """Process generator: the downstream server's query path."""
-        return self.server.query(request)
-
-
-class DispatchDownstream:
-    """Forward through a dispatcher (balancer or direct dispatcher).
-
-    This is the balancer-per-boundary pattern: the owning tier server
-    runs its own :class:`~repro.core.balancer.LoadBalancer` over the
-    next tier's replicas, exactly as each Apache does over the Tomcats.
-    """
-
-    def __init__(self, dispatcher: Dispatcher) -> None:
-        self.dispatcher = dispatcher
-
-    def call(self, request: Request):
-        """Process generator: dispatch and wait for the response."""
-        return self.dispatcher.dispatch(request)
 
 
 # -- service models ---------------------------------------------------------
@@ -408,14 +378,14 @@ class WorkerTier(TierServer):
     millibottleneck (§III-B).
 
     A worker tier both *receives* dispatched traffic (``submit``) and,
-    through a :class:`DispatchDownstream`, may run its own balancer
-    over the next tier — which is what makes ≥4-tier chains and
-    replicated databases expressible.
+    when its ``downstream`` is a dispatcher's ``dispatch``, may run its
+    own balancer over the next tier — which is what makes ≥4-tier
+    chains and replicated databases expressible.
     """
 
     def __init__(self, env: "Environment", name: str, host: Host,
                  max_threads: int,
-                 downstream: Optional[object] = None,
+                 downstream: Optional[Downstream] = None,
                  role: str = "tomcat",
                  cpu_source: str = "tomcat_cpu",
                  pre_fraction: float = PRE_DB_FRACTION) -> None:
@@ -464,7 +434,7 @@ class WorkerTier(TierServer):
                 yield from self.host.execute(demand * self.pre_fraction)
                 if self.downstream is not None:
                     try:
-                        yield from self.downstream.call(request)
+                        yield from self.downstream(request)
                     except NoCandidateError:
                         # Every next-tier replica is in Error: answer
                         # degraded (no downstream work) instead of

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import NoCandidateError
 from repro.osmodel.host import Host
-from repro.tiers.base import WorkerTier
+from repro.tiers.base import Downstream, WorkerTier
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
@@ -43,7 +43,7 @@ class CacheTier(WorkerTier):
     def __init__(self, env: "Environment", name: str, host: Host,
                  max_threads: int,
                  rng: np.random.Generator,
-                 downstream: Optional[object] = None,
+                 downstream: Optional[Downstream] = None,
                  role: str = "cache",
                  cpu_source: str = "tomcat_cpu",
                  hit_ratio: float = 0.8,
@@ -136,7 +136,7 @@ class CacheTier(WorkerTier):
                                       server=self.name, write=is_write)
                          if tracer is not None else None)
             try:
-                yield from self.downstream.call(request)
+                yield from self.downstream(request)
             except NoCandidateError:
                 self.error_responses += 1
                 if tracer is not None:

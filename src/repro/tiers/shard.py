@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.netmodel.sockets import Link
-from repro.sim.events import Event
 from repro.workload.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -152,18 +151,8 @@ class ShardRouter:
         span = (tracer.start(request.request_id, "balancer.send",
                              member=backend.name, shard_key=key)
                 if tracer is not None else None)
-        reply: Event = Event(self.env)
         try:
-            if link.profile is None:
-                yield link.delay()
-                backend.submit(request, reply)
-                yield reply
-                yield link.delay()
-            else:
-                yield from link.transit(request)
-                backend.submit(request, reply)
-                yield reply
-                yield from link.transit(request)
+            yield from link.round_trip(backend, request)
         finally:
             self.inflight -= 1
             if tracer is not None:

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.errors import ConfigurationError, NoCandidateError
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
@@ -30,7 +30,7 @@ def make_backends(env, count=4, threads=4):
         name = "tomcat{}".format(i + 1)
         backends.append(WorkerTier(env, name, Host(env, name),
                                    max_threads=threads,
-                                   downstream=InlineDownstream(mysql)))
+                                   downstream=mysql.query))
     return backends
 
 

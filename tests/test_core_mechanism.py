@@ -14,14 +14,14 @@ from repro.core.member import BalancerMember
 from repro.errors import ConfigurationError
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import PooledTier, WorkerTier
 
 
 def make_member(env, pool_size=2, preconnect=True):
     mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
                        max_connections=48)
     tomcat = WorkerTier(env, "tomcat1", Host(env, "tomcat1"), max_threads=2,
-                        downstream=InlineDownstream(mysql))
+                        downstream=mysql.query)
     return BalancerMember(env, tomcat, 0, pool_size=pool_size,
                           preconnect=preconnect), tomcat
 

@@ -7,7 +7,7 @@ from repro.core import BalancerMember, MemberState, StateConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.osmodel import Host, MillibottleneckProfile
 from repro.sim import Environment
-from repro.tiers import InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
@@ -18,7 +18,7 @@ def make_member(env, pool_size=3, preconnect=True, state_config=None,
     tomcat_host = Host(env, "tomcat1", flush_profile=flush,
                        disk_bandwidth=10e6)
     tomcat = WorkerTier(env, "tomcat1", tomcat_host, max_threads=4,
-                        downstream=InlineDownstream(mysql))
+                        downstream=mysql.query)
     member = BalancerMember(env, tomcat, index=0, pool_size=pool_size,
                             preconnect=preconnect,
                             state_config=state_config)
@@ -209,7 +209,7 @@ class TestLbValueTrace:
         mysql = PooledTier(env, "mysql1", Host(env, "mysql1"),
                            max_connections=48)
         tomcat = WorkerTier(env, "t", Host(env, "t"), max_threads=2,
-                            downstream=InlineDownstream(mysql))
+                            downstream=mysql.query)
         member = BalancerMember(env, tomcat, 0, trace=False)
         member.lb_value = 5.0
         assert member.lb_trace is None

@@ -24,7 +24,7 @@ from repro.core.member import BalancerMember
 from repro.errors import ConfigurationError
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
@@ -37,7 +37,7 @@ def members():
     for i in range(4):
         name = "tomcat{}".format(i + 1)
         tomcat = WorkerTier(env, name, Host(env, name), max_threads=2,
-                            downstream=InlineDownstream(mysql))
+                            downstream=mysql.query)
         out.append(BalancerMember(env, tomcat, index=i))
     return out
 

@@ -25,7 +25,7 @@ from repro.metrics.stats import ResponseTimeStats
 from repro.netmodel import RetransmissionPolicy
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
@@ -37,7 +37,7 @@ def build_members(count=4):
     for i in range(count):
         name = "tomcat{}".format(i + 1)
         tomcat = WorkerTier(env, name, Host(env, name), max_threads=2,
-                            downstream=InlineDownstream(mysql))
+                            downstream=mysql.query)
         members.append(BalancerMember(env, tomcat, index=i, trace=False))
     return env, members
 

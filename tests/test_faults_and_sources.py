@@ -13,6 +13,8 @@ from repro.cluster import (
     RecurringFault,
     ScaleProfile,
     SlowFault,
+    WanDegradationFault,
+    ZoneOutageFault,
     build_from_spec,
 )
 from repro.core import MemberState, StateConfig
@@ -390,6 +392,93 @@ class TestFaultZoo:
         env.run(until=3.0)
         assert len(injector.records) == 1
         assert len(injector.slow_records) == 1
+
+    @pytest.mark.parametrize("partner", [
+        CrashFault("m", at=1.0),
+        CorrelatedCrashFault(("m",), at=1.0, jitter=0.0),
+        RecurringFault("m", kind="crash", start=5.0),
+    ], ids=["crash", "correlated", "recurring"])
+    @pytest.mark.parametrize("recurring_first", [True, False])
+    def test_recurring_crash_books_its_window(self, partner,
+                                              recurring_first):
+        """A recurring crash schedule owns ``[start, inf)`` without
+        ``until``: no other crash of its server may overlap it,
+        whichever is injected first (else a permanent crash would be
+        revived by the schedule's next recovery)."""
+        recurring = RecurringFault("m", kind="crash", mean_interval=0.5,
+                                   duration=0.1, start=1.2)
+        specs = ((recurring, partner) if recurring_first
+                 else (partner, recurring))
+        env = Environment()
+        server = self.make_server(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(1))
+        with pytest.raises(ConfigurationError, match="overlapping crash"):
+            injector.inject_all(specs, server_system(server))
+
+    def test_disjoint_recurring_and_permanent_crash_accepted(self):
+        env = Environment()
+        server = self.make_server(env)
+        injector = FaultInjector(env, rng=np.random.default_rng(1))
+        injector.inject_all(
+            (RecurringFault("m", kind="crash", mean_interval=0.5,
+                            duration=0.1, until=2.0),
+             CrashFault("m", at=3.0)), server_system(server))
+        env.run(until=4.0)
+        assert server.crashed
+        *episodes, permanent = injector.records
+        assert episodes
+        assert all(record.recovered_at is not None for record in episodes)
+        assert permanent.crashed_at == pytest.approx(3.0)
+        assert permanent.recovered_at is None
+
+
+#: One bad field per fault spec: each is rejected when the spec is
+#: built, not when a run injects it.
+BAD_FAULT_FIELDS = [
+    pytest.param(CrashFault, {"server": "m", "at": -1.0},
+                 id="CrashFault.at"),
+    pytest.param(CrashFault, {"server": "m", "at": 1.0, "duration": 0.0},
+                 id="CrashFault.duration"),
+    pytest.param(SlowFault, {"server": "m", "at": 1.0, "duration": 1.0,
+                             "factor": 1.0},
+                 id="SlowFault.factor"),
+    pytest.param(PacketLossFault, {"at": 1.0, "duration": 1.0,
+                                   "loss": 1.0},
+                 id="PacketLossFault.loss"),
+    pytest.param(PacketLossFault, {"at": 1.0, "duration": 1.0,
+                                   "extra_latency": -0.1},
+                 id="PacketLossFault.extra_latency"),
+    pytest.param(LinkLatencyFault, {"server": "m", "at": 1.0,
+                                    "duration": 1.0, "extra": 0.0},
+                 id="LinkLatencyFault.extra"),
+    pytest.param(CorrelatedCrashFault, {"servers": ("m",), "at": 1.0,
+                                        "jitter": -0.1},
+                 id="CorrelatedCrashFault.jitter"),
+    pytest.param(RecurringFault, {"server": "m", "mean_interval": 0.0},
+                 id="RecurringFault.mean_interval"),
+    pytest.param(RecurringFault, {"server": "m", "kind": "slow",
+                                  "factor": 0.5},
+                 id="RecurringFault.factor"),
+    pytest.param(RecurringFault, {"server": "m", "start": -1.0},
+                 id="RecurringFault.start"),
+    pytest.param(ZoneOutageFault, {"zone": "east", "at": 1.0,
+                                   "duration": -2.0},
+                 id="ZoneOutageFault.duration"),
+    pytest.param(WanDegradationFault, {"zone_a": "east", "zone_b": "west",
+                                       "at": 1.0, "duration": 1.0,
+                                       "loss": 1.5},
+                 id="WanDegradationFault.loss"),
+    pytest.param(WanDegradationFault, {"zone_a": "east", "zone_b": "west",
+                                       "at": 1.0, "duration": 1.0,
+                                       "rto": 0.0},
+                 id="WanDegradationFault.rto"),
+]
+
+
+@pytest.mark.parametrize("spec_cls, fields", BAD_FAULT_FIELDS)
+def test_fault_spec_rejects_bad_field(spec_cls, fields):
+    with pytest.raises(ConfigurationError):
+        spec_cls(**fields)
 
 
 def server_system(server):

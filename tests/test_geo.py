@@ -130,6 +130,23 @@ class TestGeoSpecValidation:
                      placement=("east", "west"),
                      autoscaler=AutoscalerConfig())
 
+    def test_hierarchy_over_autoscaled_tier_rejected(self):
+        """Scale-down retires the newest replica, often the only member
+        of its zone's balancer, so the run would crash mid-way; the
+        spec refuses the pair when it is built."""
+        from repro.controlplane import AutoscalerConfig
+
+        tiers = (
+            TierSpec(name="web", service="frontend", replicas=2),
+            TierSpec(name="app", service="worker", replicas=2,
+                     autoscaler=AutoscalerConfig(min_replicas=1,
+                                                 max_replicas=4)),
+            TierSpec(name="db", service="pooled", replicas=1),
+        )
+        with pytest.raises(ConfigurationError, match="autoscaled"):
+            _spec(tiers, [BoundarySpec(mode="balanced", hierarchy=True),
+                          BoundarySpec(mode="inline")], zones=self.ZONES)
+
 
 class TestGeoSpecRoundTrip:
     @pytest.mark.parametrize("key", ["geo", "geo_flat"])

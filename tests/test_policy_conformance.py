@@ -24,7 +24,7 @@ from repro.core.member import BalancerMember
 from repro.core.policies import POLICIES, PrequalPolicy, make_policy
 from repro.osmodel import Host
 from repro.sim import Environment
-from repro.tiers import InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 POLICY_ITEMS = sorted(POLICIES.items())
@@ -40,7 +40,7 @@ def build_members(count=4, threads=2):
         name = "tomcat{}".format(i + 1)
         tomcat = WorkerTier(env, name, Host(env, name),
                             max_threads=threads,
-                            downstream=InlineDownstream(mysql))
+                            downstream=mysql.query)
         members.append(BalancerMember(env, tomcat, index=i, trace=False))
     return env, members
 
@@ -51,7 +51,7 @@ def build_balancer(env, policy, count=3):
     backends = [
         WorkerTier(env, "bal-tomcat{}".format(i + 1),
                    Host(env, "bal-tomcat{}".format(i + 1)), max_threads=2,
-                   downstream=InlineDownstream(mysql))
+                   downstream=mysql.query)
         for i in range(count)
     ]
     return LoadBalancer(env, "conformance.lb", backends, policy=policy,

@@ -7,7 +7,7 @@ from repro.core.balancer import DirectDispatcher
 from repro.errors import ConfigurationError
 from repro.osmodel import Host, MillibottleneckProfile
 from repro.sim import Environment, Event
-from repro.tiers import FrontendTier, InlineDownstream, PooledTier, WorkerTier
+from repro.tiers import FrontendTier, PooledTier, WorkerTier
 from repro.workload import Request, get_interaction
 
 
@@ -20,7 +20,7 @@ def make_stack(env, tomcat_threads=4, mysql_connections=8,
                        disk_bandwidth=10e6)
     tomcat = WorkerTier(env, "tomcat1", tomcat_host,
                         max_threads=tomcat_threads,
-                        downstream=InlineDownstream(mysql))
+                        downstream=mysql.query)
     return mysql, tomcat
 
 
@@ -158,7 +158,7 @@ class TestTomcatServer:
         host = Host(env, "t")
         with pytest.raises(ConfigurationError):
             WorkerTier(env, "t", host, max_threads=0,
-                       downstream=InlineDownstream(mysql))
+                       downstream=mysql.query)
 
 
 class TestApacheServer:

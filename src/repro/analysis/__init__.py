@@ -35,7 +35,6 @@ from repro.analysis.phases import (
 from repro.analysis.queueing import (
     QueuePeak,
     adaptive_threshold,
-    coinciding_peaks,
     find_peaks,
     tier_series,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "find_peaks",
     "adaptive_threshold",
     "tier_series",
-    "coinciding_peaks",
     "DetectedMillibottleneck",
     "detect",
     "saturated_windows",

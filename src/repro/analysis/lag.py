@@ -9,9 +9,7 @@ retransmission timer makes the link visible and testable.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.correlation import align, pearson
+from repro.analysis.correlation import pearson
 from repro.errors import AnalysisError
 from repro.metrics.timeseries import TimeSeries
 

@@ -3,14 +3,14 @@
 The paper's §III-B methodology: "We use queue length graph to determine
 if there are millibottlenecks: large spikes in the graph represent an
 abnormally large number of queued requests."  This module finds those
-spikes and relates them across tiers (the per-server queue analysis
-that attributes a web-tier peak to a push-back wave from the app tier).
+spikes, sums queues per tier, and lets peaks be compared across tiers
+(:meth:`QueuePeak.overlaps` attributes a web-tier peak to a push-back
+wave from the app tier).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import AnalysisError
 from repro.metrics.timeseries import TimeSeries
@@ -97,20 +97,3 @@ def tier_series(queue_series: dict[str, TimeSeries],
         out.append(members[0].times[i],
                    sum(series.values[i] for series in members))
     return out
-
-
-def coinciding_peaks(upstream: Sequence[QueuePeak],
-                     downstream: Sequence[QueuePeak],
-                     slack: float = 0.1) -> list[tuple[QueuePeak, QueuePeak]]:
-    """Pairs of overlapping (upstream, downstream) peaks.
-
-    An Apache peak that coincides with a Tomcat peak is the signature
-    of queue amplification / push-back (§III-B); an Apache peak with no
-    downstream partner points at a local millibottleneck instead.
-    """
-    pairs = []
-    for up in upstream:
-        for down in downstream:
-            if up.overlaps(down, slack):
-                pairs.append((up, down))
-    return pairs

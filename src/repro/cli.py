@@ -206,7 +206,11 @@ def _cmd_controlplane(args: argparse.Namespace) -> int:
     from repro.cluster.runner import ExperimentConfig
     from repro.cluster.scenarios import fault_specs
     from repro.controlplane import get_controlplane
+    from repro.errors import ConfigurationError
 
+    if args.events < 0:
+        raise ConfigurationError(
+            "--events must be >= 0, got {}".format(args.events))
     remedy = get_controlplane(args.remedy)
     profile = ScaleProfile() if args.full_scale else ScaleProfile.smoke()
     if args.millibottleneck:

@@ -213,6 +213,9 @@ class ExperimentResult:
 
     def slowest_traces(self, count: int = 5) -> list:
         """The ``count`` slowest completed requests' traces."""
+        if count < 0:
+            raise ConfigurationError(
+                "count of slowest traces must be >= 0, got {}".format(count))
         completed = [trace for trace in self.traces() if trace.completed]
         completed.sort(key=lambda trace: -trace.duration)
         return completed[:count]

@@ -743,12 +743,6 @@ class TopologySpec:
         return json.dumps(self.to_dict(), indent=indent)
 
     # -- derived -----------------------------------------------------------
-    def tier_named(self, name: str) -> TierSpec:
-        for tier in self.tiers:
-            if tier.name == name:
-                return tier
-        raise ConfigurationError("no tier named " + repr(name))
-
     def describe(self) -> str:
         """A compact human-readable rendering for ``topology show``."""
         lines = ["topology {!r}: {} tiers, {} clients".format(

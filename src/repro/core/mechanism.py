@@ -17,13 +17,8 @@ permanent failure in the moment, and a busy verdict is cheap to undo.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
-from repro.core.member import BalancerMember, Endpoint
+from repro.core.member import BalancerMember
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.core import Environment
 
 #: mod_jk's default cache_acquire_timeout (seconds).
 DEFAULT_CACHE_ACQUIRE_TIMEOUT = 0.300

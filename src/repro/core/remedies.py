@@ -31,12 +31,6 @@ class RemedyBundle:
     def make_mechanism(self) -> GetEndpointMechanism:
         return make_mechanism(self.mechanism_name)
 
-    @property
-    def is_remedied(self) -> bool:
-        """Whether at least one level carries a remedy."""
-        return (self.policy_name == "current_load"
-                or self.mechanism_name == "modified")
-
 
 #: Table I rows, in the paper's order.
 TABLE1_BUNDLES: tuple[RemedyBundle, ...] = (

@@ -7,22 +7,12 @@ from the primitives in this package.
 """
 
 from repro.metrics.distribution import ResponseTimeDistribution
-from repro.metrics.recorder import (
-    CompletedRequest,
-    ResponseTimeRecorder,
-    StreamingResponseTimeRecorder,
-)
+from repro.metrics.recorder import CompletedRequest, ResponseTimeRecorder
 from repro.metrics.stats import (
     NORMAL_THRESHOLD,
     VLRT_THRESHOLD,
     ResponseTimeStats,
     percentile,
-)
-from repro.metrics.throughput import (
-    goodput_ratio,
-    goodput_series,
-    interval_throughput,
-    throughput_series,
 )
 from repro.metrics.timeseries import TimeSeries
 from repro.metrics.windows import PAPER_WINDOW, BusyTracker, WindowedCounter
@@ -34,14 +24,9 @@ __all__ = [
     "PAPER_WINDOW",
     "ResponseTimeStats",
     "ResponseTimeRecorder",
-    "StreamingResponseTimeRecorder",
     "CompletedRequest",
     "ResponseTimeDistribution",
     "percentile",
-    "throughput_series",
-    "goodput_series",
-    "goodput_ratio",
-    "interval_throughput",
     "VLRT_THRESHOLD",
     "NORMAL_THRESHOLD",
 ]

@@ -67,23 +67,6 @@ class ResponseTimeDistribution:
         mask = (centers >= low) & (centers < high)
         return int(self.counts[mask].sum())
 
-    def modes(self, min_count: int = 1) -> list[tuple[float, int]]:
-        """Local maxima of the histogram: ``(bucket center, count)``.
-
-        A bucket is a mode when it is at least as tall as both
-        neighbours and holds ``min_count`` or more samples.
-        """
-        centers = self.bucket_centers()
-        out = []
-        for i, count in enumerate(self.counts):
-            if count < min_count:
-                continue
-            left = self.counts[i - 1] if i > 0 else 0
-            right = self.counts[i + 1] if i + 1 < len(self.counts) else 0
-            if count >= left and count >= right:
-                out.append((float(centers[i]), int(count)))
-        return out
-
     def vlrt_clusters(self, targets: Sequence[float] = (1.0, 2.0, 3.0),
                       tolerance: float = 0.35) -> dict[float, int]:
         """Sample mass near each retransmission-induced cluster time.

@@ -10,18 +10,10 @@ counts (Figs. 2a/6a/7a), and the response-time frequency distribution
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.errors import AnalysisError
-from repro.metrics.stats import (
-    NORMAL_THRESHOLD,
-    VLRT_THRESHOLD,
-    ResponseTimeStats,
-)
+from repro.metrics.stats import VLRT_THRESHOLD, ResponseTimeStats
 from repro.metrics.timeseries import TimeSeries
 from repro.metrics.windows import PAPER_WINDOW, WindowedCounter, window_start
 
@@ -115,144 +107,6 @@ class ResponseTimeRecorder:
     def retransmitted(self) -> list[CompletedRequest]:
         """Requests that needed at least one retransmission."""
         return [r for r in self.requests if r.retransmissions > 0]
-
-
-class StreamingResponseTimeRecorder:
-    """O(1)-memory-per-request recorder for the large-N axis.
-
-    :class:`ResponseTimeRecorder` keeps one :class:`CompletedRequest`
-    per finished request, which is the right trade at RUBBoS scale but
-    becomes the dominant heap consumer once aggregated runs push
-    millions of completions: the sample list grows without bound and
-    ``stats()`` sorts it wholesale.  This recorder folds each
-    completion into fixed-size aggregates at record time:
-
-    * count / sum / max, and exact VLRT / normal threshold counts;
-    * a log-spaced response-time histogram (:data:`BINS_PER_DECADE`
-      bins per decade) from which percentiles are answered with a
-      bounded relative error of ``10 ** (1 / BINS_PER_DECADE) - 1``
-      (~2.3% at the default resolution);
-    * per-window VLRT counts and the per-window point-in-time max
-      (completions arrive in time order in the simulator, so the
-      windowed max can be maintained incrementally);
-    * per-backend completion totals.
-
-    Memory is O(histogram bins + elapsed windows) regardless of the
-    request count.  The query surface mirrors the list-backed recorder
-    (``stats`` / ``len`` / ``point_in_time`` / ``vlrt_windows`` /
-    ``served_by_counts``); queries that inherently need per-request
-    history (``vlrt_requests``, time-ranged ``served_by_counts``)
-    raise :class:`~repro.errors.AnalysisError` instead of silently
-    lying.
-    """
-
-    #: Histogram resolution (relative error ~= 10**(1/bins) - 1).
-    BINS_PER_DECADE = 100
-    #: Smallest resolvable response time; faster requests clamp here.
-    MIN_RT = 1e-6
-    #: Decades covered from :data:`MIN_RT` (1 microsecond .. 10^4 s).
-    DECADES = 10
-
-    def __init__(self, name: str = "",
-                 window: float = PAPER_WINDOW) -> None:
-        self.name = name
-        self.window = window
-        self._nbins = self.BINS_PER_DECADE * self.DECADES
-        self._hist = np.zeros(self._nbins, dtype=np.int64)
-        self._log_min = math.log10(self.MIN_RT)
-        self.count = 0
-        self._sum = 0.0
-        self._max = 0.0
-        self.vlrt_count = 0
-        self.normal_count = 0
-        self._vlrt = WindowedCounter(window, name + ".vlrt")
-        self._pit = TimeSeries(name + ".rt")
-        self._served_by: dict[str, int] = {}
-
-    def record(self, request: CompletedRequest) -> None:
-        """Fold one completed request into the aggregates."""
-        self.record_time(request.finished_at, request.response_time,
-                         request.served_by)
-
-    def record_time(self, finished_at: float, response_time: float,
-                    served_by: Optional[str] = None) -> None:
-        """Object-free fast path: record a bare completion."""
-        self.count += 1
-        self._sum += response_time
-        if response_time > self._max:
-            self._max = response_time
-        if response_time > VLRT_THRESHOLD:
-            self.vlrt_count += 1
-            self._vlrt.record(finished_at)
-        elif response_time < NORMAL_THRESHOLD:
-            self.normal_count += 1
-        bin_index = int((math.log10(response_time) - self._log_min)
-                        * self.BINS_PER_DECADE) if (
-                            response_time > self.MIN_RT) else 0
-        if bin_index >= self._nbins:
-            bin_index = self._nbins - 1
-        self._hist[bin_index] += 1
-        series_append_max(self._pit, finished_at, self.window,
-                          response_time)
-        if served_by is not None:
-            self._served_by[served_by] = self._served_by.get(
-                served_by, 0) + 1
-
-    def __len__(self) -> int:
-        return self.count
-
-    def _percentile(self, q: float) -> float:
-        """Percentile from the histogram (upper bin edge, clamped to max)."""
-        target = q / 100.0 * self.count
-        cumulative = np.cumsum(self._hist)
-        bin_index = int(np.searchsorted(cumulative, target))
-        edge = 10.0 ** (self._log_min
-                        + (bin_index + 1) / self.BINS_PER_DECADE)
-        return min(edge, self._max)
-
-    def stats(self) -> ResponseTimeStats:
-        """Table-I style summary (percentiles are histogram-bounded)."""
-        if not self.count:
-            raise AnalysisError("cannot summarise zero requests")
-        return ResponseTimeStats(
-            count=self.count,
-            mean=self._sum / self.count,
-            median=self._percentile(50),
-            p95=self._percentile(95),
-            p99=self._percentile(99),
-            p999=self._percentile(99.9),
-            max=self._max,
-            vlrt_count=self.vlrt_count,
-            normal_count=self.normal_count,
-        )
-
-    def point_in_time(self, window: Optional[float] = None) -> TimeSeries:
-        """Max response time per completion window (Figs. 1 & 3)."""
-        if window is not None and window != self.window:
-            raise AnalysisError(
-                "streaming recorder bins at construction time; "
-                "requested window {} != configured {}".format(
-                    window, self.window))
-        return self._pit
-
-    def vlrt_windows(self, window: Optional[float] = None,
-                     until: Optional[float] = None) -> TimeSeries:
-        """VLRT count per window of completion time (Figs. 2a/6a/7a)."""
-        if window is not None and window != self.window:
-            raise AnalysisError(
-                "streaming recorder bins at construction time; "
-                "requested window {} != configured {}".format(
-                    window, self.window))
-        return self._vlrt.series(until=until)
-
-    def served_by_counts(self, start: float = 0.0,
-                         end: float = float("inf")) -> dict[str, int]:
-        """Per-backend completion totals (whole-run only)."""
-        if start != 0.0 or end != float("inf"):
-            raise AnalysisError(
-                "streaming recorder keeps no per-request history; "
-                "time-ranged served_by_counts needs ResponseTimeRecorder")
-        return dict(self._served_by)
 
 
 def series_append_max(series: TimeSeries, time: float, window: float,

@@ -1,10 +1,8 @@
 """Time-series containers used by all measurement code.
 
 A :class:`TimeSeries` is an append-only sequence of ``(time, value)``
-pairs with convenience operations used throughout the analysis layer:
-slicing by time, resampling onto fixed windows, and conversion of
-cumulative counters into rates (how the paper turns cumulative CPU time
-into fine-grained utilisation).
+pairs with the operations the analysis layer uses: slicing by time,
+point lookups and min/max/mean reductions.
 """
 
 from __future__ import annotations
@@ -101,55 +99,3 @@ class TimeSeries:
         if not self._values:
             raise AnalysisError("empty series")
         return float(np.mean(self._values))
-
-    def argmax(self) -> float:
-        """Time of the maximum value (first occurrence)."""
-        if not self._values:
-            raise AnalysisError("empty series")
-        return self._times[int(np.argmax(self._values))]
-
-    # -- transforms ------------------------------------------------------------
-    def to_rate(self) -> "TimeSeries":
-        """Differentiate a cumulative counter into a per-second rate.
-
-        The result has one fewer point; each rate is stamped at the
-        *end* of its interval.
-        """
-        if len(self) < 2:
-            return TimeSeries(self.name + ".rate")
-        out = TimeSeries(self.name + ".rate")
-        for i in range(1, len(self)):
-            dt = self._times[i] - self._times[i - 1]
-            if dt <= 0:
-                continue
-            rate = (self._values[i] - self._values[i - 1]) / dt
-            out.append(self._times[i], rate)
-        return out
-
-    def resample_max(self, window: float) -> "TimeSeries":
-        """Max value per fixed window, stamped at the window start."""
-        return self._resample(window, max)
-
-    def resample_mean(self, window: float) -> "TimeSeries":
-        """Mean value per fixed window, stamped at the window start."""
-        return self._resample(window, lambda vs: sum(vs) / len(vs))
-
-    def _resample(self, window: float, combine) -> "TimeSeries":
-        if window <= 0:
-            raise AnalysisError("window must be positive")
-        out = TimeSeries(self.name)
-        if not self._times:
-            return out
-        start = self._times[0] - (self._times[0] % window)
-        bucket: list[float] = []
-        edge = start + window
-        for time, value in self:
-            while time >= edge:
-                if bucket:
-                    out.append(edge - window, combine(bucket))
-                    bucket = []
-                edge += window
-            bucket.append(value)
-        if bucket:
-            out.append(edge - window, combine(bucket))
-        return out

@@ -57,10 +57,6 @@ class WindowedCounter:
         """Total events recorded."""
         return sum(self._counts.values())
 
-    def count_in_window(self, index: int) -> int:
-        """Events in window ``index`` (window start = index * window)."""
-        return self._counts.get(index, 0)
-
     def series(self, until: Optional[float] = None) -> TimeSeries:
         """Dense per-window counts (zeros included) as a TimeSeries.
 

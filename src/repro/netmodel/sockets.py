@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.metrics.timeseries import TimeSeries
 from repro.sim.events import Event
 from repro.sim.queues import DropQueue
 
@@ -114,10 +113,6 @@ class ListenSocket:
     @property
     def peak_length(self) -> int:
         return self._queue.peak_length
-
-    def drops_between(self, start: float, end: float) -> int:
-        """Packets dropped with ``start <= time < end``."""
-        return sum(1 for time, _ in self.drop_log if start <= time < end)
 
     def __repr__(self) -> str:
         return "<ListenSocket {} {}/{} dropped={}>".format(

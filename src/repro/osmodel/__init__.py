@@ -14,7 +14,6 @@ from repro.osmodel.pagecache import PageCache
 from repro.osmodel.pdflush import FlushDaemon, MillibottleneckRecord
 from repro.osmodel.profiles import MillibottleneckProfile
 from repro.osmodel.sources import (
-    DvfsSource,
     GarbageCollectionSource,
     TransientStallInjector,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "MillibottleneckProfile",
     "TransientStallInjector",
     "GarbageCollectionSource",
-    "DvfsSource",
     "DEFAULT_CORES",
     "DEFAULT_WRITE_BANDWIDTH",
     "STALL_PRIORITY",

@@ -88,11 +88,6 @@ class Cpu:
         """Cores currently granted (user work or stall)."""
         return self._slots.count
 
-    @property
-    def run_queue_length(self) -> int:
-        """Tasks waiting for a core."""
-        return self._slots.queue_length
-
     def utilization(self, start: float, end: float) -> float:
         """Total utilisation (user + iowait), the paper's "CPU usage"."""
         return (self.user.utilization(start, end)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.metrics.timeseries import TimeSeries
 from repro.osmodel.cpu import Cpu
 from repro.osmodel.disk import DEFAULT_WRITE_BANDWIDTH, Disk
 from repro.osmodel.pagecache import PageCache
@@ -56,8 +55,6 @@ class Host:
         self.millibottlenecks: list[MillibottleneckRecord] = []
         self.flush_profile = flush_profile or MillibottleneckProfile.disabled()
         self.flush_daemon = FlushDaemon(self, self.flush_profile)
-        #: Optional dirty-byte timeline, filled by observers (Fig. 2(e)).
-        self.dirty_series = TimeSeries(name + ".dirty")
         #: Service-rate degradation multiplier (fail-slow fault
         #: injection): every CPU demand is stretched by this factor.
         #: ``1.0`` is bit-exact identity, so the hook is free when off.
@@ -70,15 +67,6 @@ class Host:
     def write_file(self, nbytes: float) -> None:
         """Buffered file write (returns immediately; dirties pages)."""
         self.pagecache.write(nbytes)
-
-    def record_dirty_sample(self) -> None:
-        """Append the current dirty-set size to :attr:`dirty_series`."""
-        self.dirty_series.append(self.env.now, self.pagecache.dirty_bytes)
-
-    def stalled_during(self, start: float, end: float) -> bool:
-        """Whether a millibottleneck overlapped ``[start, end)``."""
-        return any(record.started_at < end and record.ended_at > start
-                   for record in self.millibottlenecks)
 
     def __repr__(self) -> str:
         return "<Host {} cores={} millibottlenecks={}>".format(

@@ -9,7 +9,7 @@ flush interval ("we enlarged the memory that holds the dirty pages to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -56,7 +56,3 @@ class MillibottleneckProfile:
         """
         return cls(flush_interval=600.0, dirty_threshold_bytes=4.8e9,
                    enabled=False)
-
-    def with_phase(self, phase: float) -> "MillibottleneckProfile":
-        """Copy of this profile with a different first-wake-up offset."""
-        return replace(self, phase=phase)

@@ -9,8 +9,9 @@ can take advantage of our remedies to shorten the latency tail caused
 by scheduling instability when facing millibottlenecks caused by
 other resource shortage."
 
-This module provides those other sources as stall injectors, so the
-generalisation claim can be tested (see the ablation benchmarks).
+This module provides a generic transient-stall injector and, built on
+it, Java garbage-collection pauses, so the generalisation claim can be
+tested (see the ablation benchmarks).
 Each injector records ground truth into ``host.millibottlenecks`` just
 like the flush daemon, keeping every detector and analysis usable.
 """
@@ -90,25 +91,4 @@ class GarbageCollectionSource(TransientStallInjector):
             interval=lambda: float(rng.exponential(period)),
             duration=lambda: float(rng.lognormal(mu, pause_sigma)),
             label="gc",
-        )
-
-
-class DvfsSource(TransientStallInjector):
-    """CPU frequency-scaling transition stalls.
-
-    DVFS governors of the paper's era (§III-A cites the TRIOS'13 DVFS
-    study) could freeze a core cluster for tens of milliseconds while
-    ramping; transitions happen often under oscillating load.  Modelled
-    as frequent, short, fixed-length stalls.
-    """
-
-    def __init__(self, host: "Host", rng: np.random.Generator,
-                 period: float = 2.0, transition: float = 0.05) -> None:
-        if period <= 0 or transition <= 0:
-            raise ConfigurationError("period and transition must be positive")
-        super().__init__(
-            host,
-            interval=lambda: float(rng.exponential(period)),
-            duration=lambda: transition,
-            label="dvfs",
         )

@@ -20,7 +20,7 @@ from repro.sim.events import (
 from repro.sim.monitor import MonitorHub, Sampler, TraceLog
 from repro.sim.process import Process
 from repro.sim.queues import DropQueue, Store
-from repro.sim.resources import Container, PriorityResource, Request, Resource
+from repro.sim.resources import PriorityResource, Request, Resource
 
 __all__ = [
     "Environment",
@@ -35,7 +35,6 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Request",
-    "Container",
     "Store",
     "DropQueue",
     "MonitorHub",

@@ -288,19 +288,6 @@ class CalendarQueue:
         entries.extend(sorted(self._overflow))
         return entries
 
-    # -- inspection --------------------------------------------------------
-    def peek_time(self) -> float:
-        """Time of the least entry, or ``inf`` when empty (no mutation)."""
-        if self._count == self._ready_idx:
-            return _INF
-        if self._ready_idx < len(self._ready):
-            return self._ready[self._ready_idx][0]
-        for slot in range(self._cur_slot + 1, self._nbuckets):
-            bucket = self._buckets[slot]
-            if bucket:
-                return min(bucket)[0]
-        return self._overflow[0][0]
-
     # -- introspection (tests, repr) ---------------------------------------
     @property
     def nbuckets(self) -> int:

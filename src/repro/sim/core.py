@@ -20,7 +20,7 @@ Typical usage::
 Performance notes
 -----------------
 The event loop is the hot path of every experiment, so :meth:`run`
-inlines the dispatch loop instead of calling :meth:`step` per event.
+is the only dispatch loop and keeps it inline.
 The schedule is a :class:`~repro.sim.calendar.CalendarQueue` — O(1)
 insert and pop for the clustered event-time distributions a DES
 produces, against O(log n) heap sifts — and :meth:`run` inlines the
@@ -106,10 +106,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._sched.peek_time()
 
     def __len__(self) -> int:
         return len(self._sched)
@@ -232,35 +228,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event.
-
-        :meth:`run` does not call this — it inlines the same logic —
-        but it remains the single-step API for tests and debuggers.
-
-        Raises
-        ------
-        SimulationError
-            If the schedule is empty.
-        """
-        entry = self._sched.pop()
-        if entry is None:
-            raise SimulationError("no scheduled events")
-        when, _, event = entry
-
-        self._now = when
-        if self.trace is not None:
-            self.trace(when, event)
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failure that nobody handled: surface it loudly.
-            raise event._value
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 

@@ -105,10 +105,6 @@ class Event:
             raise SimulationError("event value not yet available")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel will not re-raise."""
         self._defused = True

@@ -180,10 +180,6 @@ class DropQueue:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self._capacity
-
     def offer(self, item: Any) -> bool:
         """Try to enqueue ``item`` without blocking.
 

@@ -23,7 +23,7 @@ A pending request can also be *cancelled* — this is essential for
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, Event
@@ -171,76 +171,3 @@ class PriorityResource(Resource):
                 index = i
                 break
         self._waiting.insert(index, request)
-
-
-class Container:
-    """A homogeneous quantity (bytes, tokens) with put/get semantics.
-
-    Unlike :class:`Resource`, amounts are divisible: a ``get`` for 5 can
-    be satisfied by two earlier ``put`` calls of 3 and 2.  Used for the
-    dirty-page byte pool in :mod:`repro.osmodel.pagecache`.
-    """
-
-    __slots__ = ("env", "_capacity", "_level", "_getters", "_putters")
-
-    def __init__(self, env: "Environment", capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if init < 0 or init > capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = float(init)
-        self._getters: list[tuple[float, Event]] = []
-        self._putters: list[tuple[float, Event]] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        """The amount currently stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; triggers when there is room for all of it."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.env)
-        self._putters.append((amount, event))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; triggers when that much is available."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.env)
-        self._getters.append((amount, event))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        env = self.env
-        while True:
-            progressed = False
-            if self._putters:
-                amount, event = self._putters[0]
-                if self._level + amount <= self._capacity:
-                    self._level += amount
-                    self._putters.pop(0)
-                    event._value = amount
-                    env._trigger_now(event)
-                    progressed = True
-            if self._getters:
-                amount, event = self._getters[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._getters.pop(0)
-                    event._value = amount
-                    env._trigger_now(event)
-                    progressed = True
-            if not progressed:
-                return

@@ -35,7 +35,6 @@ from repro.tracing.explain import VlrtExplanation, explain_vlrt
 from repro.tracing.export import (
     chrome_trace,
     trace_report,
-    trace_to_dict,
     write_chrome_trace,
 )
 from repro.tracing.spans import RequestTrace, Span, SpanTracer
@@ -55,6 +54,5 @@ __all__ = [
     "explain_vlrt",
     "is_vlrt_cause",
     "trace_report",
-    "trace_to_dict",
     "write_chrome_trace",
 ]

@@ -20,8 +20,7 @@ from repro.tracing.critical_path import decompose
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tracing.spans import RequestTrace, Span
 
-__all__ = ["chrome_trace", "write_chrome_trace", "trace_report",
-           "trace_to_dict"]
+__all__ = ["chrome_trace", "write_chrome_trace", "trace_report"]
 
 #: Stable thread row per tier prefix, in stack order top to bottom.
 _TIER_ROWS = {"request": 0, "tcp": 0, "apache": 1, "balancer": 2,
@@ -72,34 +71,6 @@ def write_chrome_trace(traces: Iterable["RequestTrace"],
     with open(path, "w") as handle:
         json.dump(chrome_trace(traces), handle)
     return path
-
-
-def trace_to_dict(trace: "RequestTrace") -> dict:
-    """One request's tree + critical path as a JSON-ready dict."""
-    def span_dict(span: "Span") -> dict:
-        node = {
-            "name": span.name,
-            "start": span.start,
-            "end": span.end,
-            "duration_ms": 1000.0 * span.duration,
-        }
-        if span.meta:
-            node["meta"] = dict(span.meta)
-        if span.children:
-            node["children"] = [span_dict(child)
-                                for child in span.children]
-        return node
-
-    path = decompose(trace)
-    return {
-        "request_id": trace.request_id,
-        "status": trace.status,
-        "duration_ms": 1000.0 * trace.duration,
-        "dominant": path.dominant,
-        "buckets_ms": {bucket: 1000.0 * seconds
-                       for bucket, seconds in sorted(path.buckets.items())},
-        "root": span_dict(trace.root),
-    }
 
 
 def trace_report(trace: "RequestTrace") -> str:

@@ -349,10 +349,6 @@ class SpanTracer:
             if trace._named is not None:
                 trace._named.clear()
 
-    def completed_traces(self) -> list[RequestTrace]:
-        """Traces whose request finished normally, in begin order."""
-        return [trace for trace in self.traces.values() if trace.completed]
-
     def __len__(self) -> int:
         return len(self.traces)
 

@@ -59,14 +59,6 @@ class BurstProfile:
         self.burst_duration = burst_duration
         self.quiet_duration = quiet_duration
 
-    @property
-    def burstiness(self) -> float:
-        """Peak-to-mean arrival rate ratio."""
-        on = self.burst_duration / (self.burst_duration
-                                    + self.quiet_duration)
-        mean = self.burst_rate * on + self.base_rate * (1 - on)
-        return self.burst_rate / mean
-
     @classmethod
     def steady(cls, rate: float) -> "BurstProfile":
         """Plain Poisson arrivals at ``rate`` (degenerate profile)."""

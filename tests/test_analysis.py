@@ -8,7 +8,6 @@ from repro.analysis import (
     QueuePeak,
     adaptive_threshold,
     align,
-    coinciding_peaks,
     detect,
     drops_of,
     evenness,
@@ -98,16 +97,6 @@ class TestTierSeries:
     def test_missing_prefix_raises(self):
         with pytest.raises(AnalysisError):
             tier_series({"apache1": series([(0, 1)])}, "tomcat")
-
-
-class TestCoincidingPeaks:
-    def test_pairs_overlapping(self):
-        up = [QueuePeak("apache1", 1.0, 1.5, 50, 1.2)]
-        down = [QueuePeak("tomcat1", 1.4, 1.8, 80, 1.5),
-                QueuePeak("tomcat1", 5.0, 5.2, 60, 5.1)]
-        pairs = coinciding_peaks(up, down)
-        assert len(pairs) == 1
-        assert pairs[0][1].started_at == 1.4
 
 
 class TestSaturationDetection:

@@ -44,6 +44,13 @@ class TestTraceCommand:
         assert "vlrt_count" in payload
         assert "explained_fraction" in payload
 
+    def test_negative_slowest_exits_2(self, capsys):
+        code = main(["trace", "run/current_load", "--duration", "0.5",
+                     "--slowest", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "slowest" in err
+
     def test_unknown_scenario_exits_2(self, capsys):
         code = main(["trace", "no/such_scenario"])
         err = capsys.readouterr().err
@@ -110,6 +117,12 @@ class TestControlplaneCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "admission+leveling" in err
+
+    def test_controlplane_negative_events_exits_2(self, capsys):
+        code = main(["controlplane", "--events", "-1", "--duration", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--events" in err
 
 
 class TestStatanCommand:

@@ -296,12 +296,8 @@ class TestRemedyBundles:
         bundle = get_bundle("current_load_modified")
         assert bundle.policy_name == "current_load"
         assert bundle.mechanism_name == "modified"
-        assert bundle.is_remedied
         assert isinstance(bundle.make_policy(), CurrentLoadPolicy)
         assert isinstance(bundle.make_mechanism(), ModifiedGetEndpoint)
-
-    def test_original_bundle_not_remedied(self):
-        assert not get_bundle("original_total_request").is_remedied
 
     def test_unknown_bundle(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,5 @@
-"""Tests for the extension modules: bursty workload, throughput
-metrics, lag correlation, CSV export, and sweeps (grid axes)."""
+"""Tests for the extension modules: bursty workload, lag correlation,
+CSV export, and sweeps (grid axes)."""
 
 import numpy as np
 import pytest
@@ -16,15 +16,7 @@ from repro.analysis import (
 from repro.cluster import Grid
 from repro.cluster.scenarios import policy_run
 from repro.errors import AnalysisError, ConfigurationError
-from repro.metrics import (
-    CompletedRequest,
-    ResponseTimeRecorder,
-    TimeSeries,
-    goodput_ratio,
-    goodput_series,
-    interval_throughput,
-    throughput_series,
-)
+from repro.metrics import TimeSeries, WindowedCounter
 from repro.netmodel import ListenSocket
 from repro.sim import Environment
 from repro.workload import BurstProfile, OpenLoopGenerator, read_write_mix
@@ -38,13 +30,6 @@ class TestBurstProfile:
             BurstProfile(base_rate=10, burst_rate=5)
         with pytest.raises(ConfigurationError):
             BurstProfile(base_rate=1, burst_rate=2, burst_duration=0)
-
-    def test_burstiness(self):
-        steady = BurstProfile.steady(100.0)
-        assert steady.burstiness == pytest.approx(1.0)
-        bursty = BurstProfile(base_rate=10, burst_rate=1000,
-                              burst_duration=0.1, quiet_duration=0.9)
-        assert bursty.burstiness > 5
 
 
 class EchoBackend:
@@ -88,9 +73,12 @@ class TestOpenLoopGenerator:
             env, socket, read_write_mix(), profile,
             np.random.default_rng(1))
         env.run(until=10.0)
-        rate = throughput_series(generator.recorder, window=0.1)
-        # Peak window rate far above the base rate: bursts happened.
-        assert rate.max() > 10 * 20
+        completions = WindowedCounter(window=0.1)
+        for request in generator.recorder.requests:
+            completions.record(request.finished_at)
+        # Peak window rate far above the base rate: bursts happened
+        # (over 10 x 20/s is over 20 completions in one 0.1 s window).
+        assert completions.series().max() > 20
         assert generator.requests_sent > 500
 
     def test_open_loop_does_not_backpressure(self):
@@ -113,47 +101,6 @@ class TestOpenLoopGenerator:
             np.random.default_rng(3))
         env.run(until=5.0)
         assert generator.sender.packets_dropped > 0
-
-
-def make_recorder(completions):
-    """completions: list of (start, end) pairs."""
-    recorder = ResponseTimeRecorder("t")
-    for i, (start, end) in enumerate(completions):
-        recorder.record(CompletedRequest(i, "ViewStory", start, end))
-    return recorder
-
-
-class TestThroughputMetrics:
-    def test_throughput_series_counts_per_second(self):
-        recorder = make_recorder([(0, 0.1), (0, 0.2), (0, 1.5)])
-        series = throughput_series(recorder, window=1.0)
-        assert series.values == [2.0, 1.0]
-
-    def test_throughput_rate_scales_with_window(self):
-        recorder = make_recorder([(0, 0.1), (0, 0.2)])
-        series = throughput_series(recorder, window=0.5)
-        assert series.values == [4.0]  # 2 completions / 0.5 s
-
-    def test_goodput_excludes_slow_requests(self):
-        recorder = make_recorder([(0, 0.01), (0, 0.02), (0, 2.0)])
-        good = goodput_series(recorder, window=10.0, threshold=0.1)
-        assert sum(good.values) * 10.0 == 2
-
-    def test_goodput_ratio(self):
-        recorder = make_recorder([(0, 0.01), (0, 0.05), (0, 5.0), (0, 6.0)])
-        assert goodput_ratio(recorder, threshold=0.1) == pytest.approx(0.5)
-        with pytest.raises(AnalysisError):
-            goodput_ratio(ResponseTimeRecorder())
-
-    def test_interval_throughput(self):
-        recorder = make_recorder([(0, 0.5), (0, 1.5), (0, 2.5)])
-        assert interval_throughput(recorder, 0.0, 2.0) == pytest.approx(1.0)
-        with pytest.raises(AnalysisError):
-            interval_throughput(recorder, 2.0, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            throughput_series(make_recorder([(0, 1)]), window=0)
 
 
 class TestLagCorrelation:

@@ -20,7 +20,6 @@ from repro.cluster import (
 from repro.core import MemberState, StateConfig
 from repro.errors import ConfigurationError
 from repro.osmodel import (
-    DvfsSource,
     GarbageCollectionSource,
     Host,
     TransientStallInjector,
@@ -65,7 +64,7 @@ class TestTransientStallInjector:
         assert finished[0] == pytest.approx(0.701, abs=1e-3)
 
 
-class TestGcAndDvfsSources:
+class TestGcSource:
     def test_gc_pauses_have_plausible_durations(self):
         env = Environment()
         host = Host(env, "jvm", cores=4)
@@ -78,24 +77,12 @@ class TestGcAndDvfsSources:
         # Millibottleneck range: tens to hundreds of milliseconds.
         assert all(0.01 < d < 1.5 for d in durations)
 
-    def test_dvfs_transitions_are_short_and_fixed(self):
-        env = Environment()
-        host = Host(env, "cpu", cores=4)
-        DvfsSource(host, np.random.default_rng(1), period=0.5,
-                   transition=0.05)
-        env.run(until=10.0)
-        assert len(host.millibottlenecks) > 5
-        assert all(r.duration == pytest.approx(0.05)
-                   for r in host.millibottlenecks)
-
     def test_validation(self):
         env = Environment()
         host = Host(env, "h", cores=1)
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             GarbageCollectionSource(host, rng, period=0)
-        with pytest.raises(ConfigurationError):
-            DvfsSource(host, rng, transition=0)
 
 
 class TestFaultInjector:

@@ -161,13 +161,6 @@ class TestResponseTimeDistribution:
         assert dist.mass_between(0.001, 0.01) == 10
         assert dist.mass_between(0.5, 2.0) == 3
 
-    def test_bimodal_detection_via_modes(self):
-        dist = ResponseTimeDistribution()
-        dist.add_all([0.004] * 100 + [1.0] * 20)
-        mode_centers = [center for center, _ in dist.modes(min_count=10)]
-        assert any(center < 0.01 for center in mode_centers)
-        assert any(0.5 < center < 2.0 for center in mode_centers)
-
     def test_vlrt_clusters(self):
         dist = ResponseTimeDistribution()
         dist.add_all([1.05] * 5 + [2.1] * 3 + [3.05] * 2 + [0.005] * 50)

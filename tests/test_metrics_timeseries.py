@@ -66,53 +66,18 @@ def test_value_at_empty_raises():
         TimeSeries().value_at(0)
 
 
-def test_min_max_mean_argmax():
+def test_min_max_mean():
     series = make_series([(0, 3), (1, 9), (2, 6)])
     assert series.max() == 9
     assert series.min() == 3
     assert series.mean() == pytest.approx(6.0)
-    assert series.argmax() == 1
 
 
 def test_stats_on_empty_raise():
     empty = TimeSeries()
-    for method in (empty.max, empty.min, empty.mean, empty.argmax):
+    for method in (empty.max, empty.min, empty.mean):
         with pytest.raises(AnalysisError):
             method()
-
-
-def test_to_rate_differentiates_cumulative_counter():
-    series = make_series([(0, 0), (1, 10), (3, 30)])
-    rate = series.to_rate()
-    assert list(rate) == [(1.0, 10.0), (3.0, 10.0)]
-
-
-def test_to_rate_skips_zero_dt():
-    series = make_series([(0, 0), (1, 5), (1, 7), (2, 9)])
-    rate = series.to_rate()
-    assert rate.times == [1.0, 2.0]
-
-
-def test_to_rate_of_short_series_is_empty():
-    assert len(make_series([(0, 1)]).to_rate()) == 0
-
-
-def test_resample_max():
-    series = make_series([(0.00, 1), (0.02, 5), (0.06, 2), (0.30, 9)])
-    resampled = series.resample_max(0.05)
-    assert resampled.times == pytest.approx([0.0, 0.05, 0.30])
-    assert resampled.values == [5, 2, 9]
-
-
-def test_resample_mean():
-    series = make_series([(0.0, 2), (0.01, 4), (0.06, 10)])
-    resampled = series.resample_mean(0.05)
-    assert resampled.values == pytest.approx([3.0, 10.0])
-
-
-def test_resample_rejects_bad_window():
-    with pytest.raises(AnalysisError):
-        make_series([(0, 1)]).resample_max(0)
 
 
 def test_repr_mentions_name_and_size():

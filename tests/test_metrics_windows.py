@@ -23,9 +23,7 @@ class TestWindowedCounter:
         counter.record(0.049)
         counter.record(0.05)
         counter.record(0.23, count=3)
-        assert counter.count_in_window(0) == 2
-        assert counter.count_in_window(1) == 1
-        assert counter.count_in_window(4) == 3
+        assert counter.series().values == [2, 1, 0, 0, 3]
         assert counter.total == 6
 
     def test_series_is_dense_with_zeros(self):

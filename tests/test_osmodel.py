@@ -241,7 +241,6 @@ class TestCpu:
         env.process(work(env))
         env.run(until=0.5)
         assert cpu.busy_cores == 1
-        assert cpu.run_queue_length == 1
 
 
 class TestMillibottleneckProfile:
@@ -254,10 +253,6 @@ class TestMillibottleneckProfile:
         assert not profile.enabled
         assert profile.flush_interval == 600.0
         assert profile.dirty_threshold_bytes == pytest.approx(4.8e9)
-
-    def test_with_phase(self):
-        profile = MillibottleneckProfile().with_phase(2.5)
-        assert profile.phase == 2.5
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -338,16 +333,6 @@ class TestFlushDaemonAndHost:
         env.run(until=2.0)
         assert host.millibottlenecks[0].started_at == pytest.approx(1.5)
 
-    def test_stalled_during(self):
-        env = Environment()
-        host = self.make_host(env)
-        host.write_file(10e6)  # flush at t=1.0 lasting 100 ms
-        env.run(until=2.0)
-        assert host.stalled_during(1.05, 1.06)
-        assert host.stalled_during(0.9, 1.01)
-        assert not host.stalled_during(1.2, 1.5)
-        assert not host.stalled_during(0.0, 0.99)
-
     def test_repeated_flushes(self):
         env = Environment()
         host = self.make_host(env)
@@ -362,10 +347,3 @@ class TestFlushDaemonAndHost:
         # ~2 MB dirty per second, flushed every second: 5 bursts.
         assert len(host.millibottlenecks) == 5
         assert host.flush_daemon.flushes == 5
-
-    def test_record_dirty_sample(self):
-        env = Environment()
-        host = self.make_host(env)
-        host.write_file(3e6)
-        host.record_dirty_sample()
-        assert host.dirty_series.values == [3e6]

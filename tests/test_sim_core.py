@@ -121,18 +121,6 @@ def test_simultaneous_events_fire_fifo():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(4.0)
-    assert env.peek() == 4.0
-
-
-def test_step_on_empty_queue_raises():
-    with pytest.raises(SimulationError):
-        Environment().step()
-
-
 def test_event_succeed_wakes_waiter():
     env = Environment()
     gate = env.event()

@@ -313,19 +313,6 @@ class TestCalendarQueueOrdering:
         queue.push(_entry(9.5e-4, 4))  # >= ready tail: append path
         assert [e[1] for e in _drain(queue)] == [3, 2, 4]
 
-    def test_peek_time_reports_minimum_without_mutation(self):
-        queue = CalendarQueue()
-        assert queue.peek_time() == float("inf")
-        queue.push(_entry(0.2, 2))
-        queue.push(_entry(1e-4, 1))
-        queue.push(_entry(500.0, 3))   # overflow
-        assert queue.peek_time() == 1e-4
-        assert queue.peek_time() == 1e-4  # no mutation
-        assert queue.pop()[0] == 1e-4
-        assert queue.peek_time() == 0.2
-        _drain(queue)
-        assert queue.peek_time() == float("inf")
-
 
 class TestCalendarQueueResize:
     def test_grows_under_load_and_keeps_order(self):
@@ -496,7 +483,6 @@ class TestMonitorHub:
         env = Environment()
         MonitorHub(env, period=0.05)
         assert len(env) == 0
-        assert env.peek() == float("inf")
 
     def test_hub_sampler_owns_no_process(self):
         env = Environment()

@@ -86,7 +86,6 @@ def test_drop_queue_accepts_until_full():
     assert queue.offered == 5
     assert queue.accepted == 3
     assert queue.dropped == 2
-    assert queue.is_full
 
 
 def test_drop_queue_drop_callback():

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, PriorityResource, and Container."""
+"""Unit tests for Resource and PriorityResource."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, PriorityResource, Resource
+from repro.sim import Environment, PriorityResource, Resource
 
 
 def test_capacity_validation():
@@ -252,77 +252,6 @@ def test_priority_ties_break_fifo():
         env.process(worker(env, tag))
     env.run()
     assert order == ["a", "b", "c"]
-
-
-def test_container_levels():
-    env = Environment()
-    box = Container(env, capacity=100, init=10)
-    assert box.level == 10
-    assert box.capacity == 100
-
-    def proc(env):
-        yield box.put(40)
-        assert box.level == 50
-        yield box.get(25)
-        assert box.level == 25
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_container_get_waits_for_amount():
-    env = Environment()
-    box = Container(env)
-    times = []
-
-    def consumer(env):
-        yield box.get(10)
-        times.append(env.now)
-
-    def producer(env):
-        for _ in range(5):
-            yield env.timeout(1)
-            yield box.put(3)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    # 3 puts of 3 reach 9 at t=3; the 4th put reaches 12 >= 10 at t=4.
-    assert times == [4.0]
-    assert box.level == pytest.approx(5.0)
-
-
-def test_container_put_waits_for_room():
-    env = Environment()
-    box = Container(env, capacity=10, init=8)
-    times = []
-
-    def producer(env):
-        yield box.put(5)
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(2)
-        yield box.get(4)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [2.0]
-    assert box.level == pytest.approx(9.0)
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=9)
-    box = Container(env)
-    with pytest.raises(ValueError):
-        box.put(0)
-    with pytest.raises(ValueError):
-        box.get(-3)
 
 
 def test_resource_repr():

@@ -313,12 +313,6 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError):
             get_topology("nope")
 
-    def test_tier_named(self):
-        spec = get_topology("four_tier")
-        assert spec.tier_named("backend").flush is not None
-        with pytest.raises(ConfigurationError):
-            spec.tier_named("nope")
-
 
 # -- new shapes run end-to-end ---------------------------------------------
 

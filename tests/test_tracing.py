@@ -24,7 +24,6 @@ from repro.tracing import (
     decompose,
     explain_vlrt,
     trace_report,
-    trace_to_dict,
 )
 
 from dataclasses import replace
@@ -181,7 +180,8 @@ class TestSpanTracer:
         assert span.meta["unfinished"] is True
         # The normally-ended trace keeps its status.
         assert tracer.get(2).completed
-        assert tracer.completed_traces() == [tracer.get(2)]
+        assert [trace.completed for trace in tracer.traces.values()] == [
+            False, True]
 
 
 class TestCriticalPath:
@@ -378,18 +378,6 @@ class TestVlrtAcceptance:
             assert event["dur"] >= 0.0
             assert isinstance(event["ts"], float)
         assert any(e["ph"] == "M" for e in events)
-
-    def test_trace_to_dict_nests_like_the_tree(self, traced_original):
-        trace = traced_original.slowest_traces(1)[0]
-        payload = trace_to_dict(trace)
-        assert payload["request_id"] == trace.request_id
-        assert payload["root"]["name"] == "request"
-
-        def count(node):
-            return 1 + sum(count(child)
-                           for child in node.get("children", ()))
-
-        assert count(payload["root"]) == trace.span_count()
 
     def test_untraced_result_raises_a_configuration_error(self):
         config = policy_run("original_total_request", duration=0.5)

@@ -11,6 +11,7 @@ exactly rather than sampled.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Optional
 
 from repro.errors import AnalysisError
@@ -99,40 +100,51 @@ class BusyTracker:
         self._busy = 0
         self._last_change = 0.0
         self._accumulated = 0.0
-        #: (time, cumulative busy-seconds) checkpoints for series queries.
+        #: (time, cumulative busy-seconds) checkpoints for series queries,
+        #: one per accepted acquire/release.
         self._checkpoints = TimeSeries(name + ".busy")
         self._checkpoints.append(0.0, 0.0)
+        self._times = self._checkpoints.times
+        self._values = self._checkpoints.values
 
     @property
     def busy_slots(self) -> int:
         return self._busy
 
-    def _advance(self, now: float) -> None:
-        if now < self._last_change:
-            raise AnalysisError("time went backwards in BusyTracker")
-        self._accumulated += self._busy * (now - self._last_change)
-        self._last_change = now
-
+    # acquire/release run once per CPU slice edge, so each advances the
+    # integral and appends its checkpoint inline.  The time check keeps
+    # the order TimeSeries.append would check, and a refused call raises
+    # before it stores anything.
     def acquire(self, now: float, count: int = 1) -> None:
         """Mark ``count`` more slots busy from ``now`` on."""
-        self._advance(now)
-        self._busy += count
-        if self._busy > self.slots:
+        if now < self._last_change:
+            raise AnalysisError("time went backwards in BusyTracker")
+        busy = self._busy + count
+        if busy > self.slots:
             raise AnalysisError(
-                "{} slots busy but only {} exist".format(self._busy, self.slots))
-        self._checkpoints.append(now, self._accumulated)
+                "{} slots busy but only {} exist".format(busy, self.slots))
+        self._accumulated += self._busy * (now - self._last_change)
+        self._last_change = now
+        self._busy = busy
+        self._times.append(now)
+        self._values.append(self._accumulated)
 
     def release(self, now: float, count: int = 1) -> None:
         """Mark ``count`` slots idle from ``now`` on."""
-        self._advance(now)
-        self._busy -= count
-        if self._busy < 0:
+        if now < self._last_change:
+            raise AnalysisError("time went backwards in BusyTracker")
+        busy = self._busy - count
+        if busy < 0:
             raise AnalysisError("released more slots than acquired")
-        self._checkpoints.append(now, self._accumulated)
+        self._accumulated += self._busy * (now - self._last_change)
+        self._last_change = now
+        self._busy = busy
+        self._times.append(now)
+        self._values.append(self._accumulated)
 
     def busy_seconds(self, now: float) -> float:
         """Cumulative busy slot-seconds up to ``now``."""
-        return self._accumulated + self._busy * (now - self._last_change)
+        return self._cumulative_at(now)
 
     def utilization(self, start: float, end: float) -> float:
         """Mean utilisation (0..1) over ``[start, end)``, exact."""
@@ -150,9 +162,8 @@ class BusyTracker:
         # Interpolate between checkpoints: busy level is constant between
         # consecutive checkpoints, so linear interpolation of the
         # cumulative integral is exact.
-        times = self._checkpoints.times
-        values = self._checkpoints.values
-        from bisect import bisect_right
+        times = self._times
+        values = self._values
         index = bisect_right(times, time) - 1
         if index < 0:
             return 0.0

@@ -52,13 +52,15 @@ class Cpu:
         """
         if cpu_seconds < 0:
             raise ValueError("negative CPU demand")
+        env = self.env
         with self._slots.request(priority=FOREGROUND_PRIORITY) as grant:
             yield grant
-            self.user.acquire(self.env.now)
+            # env._now, not the now property: this runs per CPU slice.
+            self.user.acquire(env._now)
             try:
-                yield self.env.timeout(cpu_seconds)
+                yield env.timeout(cpu_seconds)
             finally:
-                self.user.release(self.env.now)
+                self.user.release(env._now)
 
     def stall(self, duration: float):
         """Process generator: hold *all* cores in iowait for ``duration``.

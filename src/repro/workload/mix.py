@@ -13,6 +13,8 @@ stochastic matrix are enforced and unit-tested.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Mapping
 
 import numpy as np
@@ -101,6 +103,13 @@ _AFFINITIES: dict[tuple[str, str], float] = {
 }
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """The cdf ``Generator.choice`` searches: ``p.cumsum()`` over its last."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class WorkloadMix:
     """A named mix: stationary weights + derived transition matrix."""
 
@@ -113,14 +122,24 @@ class WorkloadMix:
         if missing:
             raise WorkloadError("missing weights for: "
                                 + ", ".join(sorted(missing)))
-        if all(weight <= 0 for weight in weights.values()):
+        invalid = sorted(name for name, weight in weights.items()
+                         if not (math.isfinite(weight) and weight >= 0))
+        if invalid:
+            raise WorkloadError("weights must be finite and >= 0: "
+                                + ", ".join(invalid))
+        if all(weight == 0 for weight in weights.values()):
             raise WorkloadError("all weights are zero")
         self.name = name
         self.states = list(INTERACTIONS)
         self._index = {name: i for i, name in enumerate(self.states)}
-        self.weights = np.array([max(0.0, float(weights[s]))
-                                 for s in self.states])
+        self.weights = np.array([float(weights[s]) for s in self.states])
         self.transition_matrix = self._build_matrix()
+        # One cdf per row, read with bisect over a single rng.random():
+        # the draw Generator.choice(n, p=row) makes, without its per-call
+        # validation and cumsum.
+        self._cdfs = {state: _cdf(row) for state, row
+                      in zip(self.states, self.transition_matrix)}
+        self._first_cdf = _cdf(self.initial_distribution())
 
     def _build_matrix(self) -> np.ndarray:
         size = len(self.states)
@@ -141,13 +160,11 @@ class WorkloadMix:
 
     def next_state(self, current: str, rng: np.random.Generator) -> str:
         """Sample the next interaction after ``current``."""
-        row = self.transition_matrix[self._index[current]]
-        return self.states[int(rng.choice(len(self.states), p=row))]
+        return self.states[bisect_right(self._cdfs[current], rng.random())]
 
     def first_state(self, rng: np.random.Generator) -> str:
         """Sample a session's first interaction."""
-        dist = self.initial_distribution()
-        return self.states[int(rng.choice(len(self.states), p=dist))]
+        return self.states[bisect_right(self._first_cdf, rng.random())]
 
     @property
     def write_fraction(self) -> float:

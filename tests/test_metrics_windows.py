@@ -85,6 +85,39 @@ class TestBusyTracker:
         cpu.acquire(2.0)
         assert cpu.busy_seconds(3.0) == pytest.approx(4.0)
 
+    def test_busy_seconds_before_last_edge(self):
+        cpu = BusyTracker(slots=1)
+        cpu.acquire(0.0)
+        cpu.release(5.0)
+        assert cpu.busy_seconds(2.0) == pytest.approx(2.0)
+        assert cpu.busy_seconds(2.0) == pytest.approx(
+            cpu.utilization(0.0, 2.0) * 2.0)
+        assert cpu.busy_seconds(7.0) == pytest.approx(5.0)
+
+    def test_one_checkpoint_per_accepted_call(self):
+        cpu = BusyTracker(slots=2)
+        cpu.acquire(0.0)
+        cpu.acquire(1.0)
+        cpu.release(2.0, count=2)
+        cpu.acquire(2.0)
+        assert len(cpu._checkpoints) == 1 + 4
+
+    @pytest.mark.parametrize("refused", [
+        lambda cpu: cpu.acquire(2.0),
+        lambda cpu: cpu.release(2.0, count=2),
+        lambda cpu: cpu.release(0.5),
+    ], ids=["over_acquire", "over_release", "time_reversal"])
+    def test_refused_call_leaves_tracker_unchanged(self, refused):
+        cpu = BusyTracker(slots=1)
+        cpu.acquire(0.0)
+        cpu.release(1.0)
+        cpu.acquire(1.0)
+        before = (cpu.busy_slots, cpu.busy_seconds(3.0), len(cpu._checkpoints))
+        with pytest.raises(AnalysisError):
+            refused(cpu)
+        after = (cpu.busy_slots, cpu.busy_seconds(3.0), len(cpu._checkpoints))
+        assert after == before == (1, 3.0, 4)
+
     def test_over_acquire_raises(self):
         cpu = BusyTracker(slots=1)
         cpu.acquire(0.0)

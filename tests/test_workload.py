@@ -102,6 +102,33 @@ class TestMixes:
                                     NotAPage=1.0))
         with pytest.raises(WorkloadError):
             WorkloadMix("bad", {name: 0.0 for name in INTERACTIONS})
+        for weight in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(WorkloadError):
+                WorkloadMix("bad", dict(BROWSING_ONLY_WEIGHTS,
+                                        ViewStory=weight))
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("make_mix", [browsing_only_mix, read_write_mix])
+    def test_draws_match_generator_choice(self, make_mix, seed):
+        """Each draw is the state Generator.choice(24, p=row) picks, from
+        one rng.random(): same page walk, same stream position."""
+        mix = make_mix()
+        rng = np.random.default_rng(seed)
+        oracle = np.random.default_rng(seed)
+        n = len(mix.states)
+        current = None
+        for step in range(20_000):
+            if step % 50 == 0:
+                got = mix.first_state(rng)
+                want = mix.states[int(oracle.choice(
+                    n, p=mix.initial_distribution()))]
+            else:
+                got = mix.next_state(current, rng)
+                want = mix.states[int(oracle.choice(
+                    n, p=mix.transition_matrix[mix.states.index(current)]))]
+            assert got == want
+            current = got
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestSession:

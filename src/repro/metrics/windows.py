@@ -117,8 +117,9 @@ class BusyTracker:
     # before it stores anything.
     def acquire(self, now: float, count: int = 1) -> None:
         """Mark ``count`` more slots busy from ``now`` on."""
-        if now < self._last_change:
-            raise AnalysisError("time went backwards in BusyTracker")
+        if not now >= self._last_change:  # also refuses NaN
+            raise AnalysisError(
+                "BusyTracker time {!r} is NaN or went backwards".format(now))
         busy = self._busy + count
         if busy > self.slots:
             raise AnalysisError(
@@ -131,8 +132,9 @@ class BusyTracker:
 
     def release(self, now: float, count: int = 1) -> None:
         """Mark ``count`` slots idle from ``now`` on."""
-        if now < self._last_change:
-            raise AnalysisError("time went backwards in BusyTracker")
+        if not now >= self._last_change:  # also refuses NaN
+            raise AnalysisError(
+                "BusyTracker time {!r} is NaN or went backwards".format(now))
         busy = self._busy - count
         if busy < 0:
             raise AnalysisError("released more slots than acquired")

@@ -21,16 +21,16 @@ Performance notes
 -----------------
 The event loop is the hot path of every experiment, so :meth:`run`
 is the only dispatch loop and keeps it inline.
-The schedule is a :class:`~repro.sim.calendar.CalendarQueue` — O(1)
-insert and pop for the clustered event-time distributions a DES
-produces, against O(log n) heap sifts — and :meth:`run` inlines the
-queue's pop fast path (an index bump on the current bucket) so the
-per-event cost is a handful of attribute operations plus the callback
-calls.  Entries are ``(time, key, event)`` 3-tuples where ``key``
-packs ``(priority, sequence)`` into one integer, so tie-breaking costs
-a single int comparison, the event itself is never compared, and pop
-order is byte-identical to the binary-heap kernel this replaced (the
-golden-trace tests pin that contract).
+The schedule is a plain list kept in heap order by the standard
+library's C :mod:`heapq`: every insert is one ``heappush`` and
+:meth:`run` pops with one ``heappop``.  Entries are ``(time, key,
+event)`` 3-tuples where ``key`` packs ``(priority, sequence)`` into one
+integer, so tie-breaking costs a single int comparison, the event
+itself is never compared (sequence numbers are unique), and events pop
+in exact ``(time, priority, creation)`` order — the golden-trace tests
+pin that contract.  The pending set stays small (a few thousand
+events), and a bucketed calendar queue measured no faster on any real
+workload; see ``DESIGN.md §12``.
 
 The hottest factories (:meth:`Environment.timeout`,
 :meth:`Resource.request <repro.sim.resources.Resource.request>`,
@@ -48,11 +48,10 @@ test per event.  The golden-trace determinism tests are built on it.
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError, StopSimulation
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (
     _KEY_SHIFT,
     _NORMAL_KEY,
@@ -84,7 +83,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._sched = CalendarQueue(self._now)
+        self._sched: list = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Optional probe called as ``trace(time, event)`` for every
@@ -117,20 +116,20 @@ class Environment:
 
         ``delay`` must be finite and non-negative: a ``NaN`` or ``inf``
         delay would silently corrupt the schedule's ordering invariant
-        (``NaN`` compares false against everything, and the calendar's
-        slot arithmetic turns ``inf`` into nonsense indices) and is
-        rejected with :class:`SimulationError`.
+        (``NaN`` compares false against everything, and an ``inf``
+        entry would drag the clock to infinity) and is rejected with
+        :class:`SimulationError`.
         """
         if not 0.0 <= delay < _inf:
             raise SimulationError(
                 "delay must be finite and non-negative, got {!r}".format(
                     delay))
         self._eid = eid = self._eid + 1
-        self._sched.push(
-            (self._now + delay, (priority << _KEY_SHIFT) | eid, event))
+        heappush(self._sched,
+                 (self._now + delay, (priority << _KEY_SHIFT) | eid, event))
 
     def _trigger_now(self, event: Event, key: int = _NORMAL_KEY,
-                     _insort=insort) -> None:
+                     _push=heappush) -> None:
         """Internal: schedule an already-triggered event at the current
         time.
 
@@ -141,28 +140,10 @@ class Environment:
         already shifted into place: ``_NORMAL_KEY`` by default,
         ``_URGENT_KEY`` (zero) for process start and interrupt
         delivery, so the packed key is byte-identical to what
-        ``schedule(event, priority)`` would produce.  The calendar insert
-        collapses to one binary insertion: an entry at the current
-        clock can never map past the current slot (the slot mapping is
-        monotone and the clock equals the last popped entry's time), so
-        it always belongs in the current slot's undrained suffix —
-        every other pending entry is strictly later or, at the same
-        time, key-ordered by the insort.  Sequence numbers are
-        monotone, so the entry usually sorts after the whole suffix:
-        one tuple comparison against the tail replaces the bisection
-        (and its O(log n) equal-time tuple compares) in that case —
-        ``insort`` right-biases ties, so the append lands on the
-        identical position.
+        ``schedule(event, priority)`` would produce.
         """
         self._eid = eid = self._eid + 1
-        sched = self._sched
-        sched._count += 1
-        ready = sched._ready
-        entry = (self._now, key | eid, event)
-        if len(ready) == sched._ready_idx or entry >= ready[-1]:
-            ready.append(entry)
-        else:
-            _insort(ready, entry, sched._ready_idx)
+        _push(self._sched, (self._now, key | eid, event))
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -171,13 +152,13 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None, _new=Timeout.__new__,
                 _cls=Timeout, _inf=_INF, _key=_NORMAL_KEY,
-                _insort=insort) -> Timeout:
+                _push=heappush) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now.
 
         This is the kernel's dominant allocation, and the only way a
         :class:`Timeout` is built: the instance is created already
         triggered through ``Timeout.__new__``, with no ``__init__``/
-        ``schedule`` call chain, and the calendar insert is inlined.
+        ``schedule`` call chain.
         """
         if not 0.0 <= delay < _inf:
             raise ValueError("invalid delay: {!r}".format(delay))
@@ -189,30 +170,7 @@ class Environment:
         event._defused = False
         event._delay = delay
         self._eid = eid = self._eid + 1
-        t = self._now + delay
-        sched = self._sched
-        entry = (t, _key | eid, event)
-        sched._count += 1
-        if t >= sched._horizon:
-            sched.push_overflow(entry)
-            return event
-        idx = int((t - sched._base) * sched._inv_width)
-        if idx >= sched._nbuckets:
-            idx = sched._nbuckets - 1
-        if idx > sched._cur_slot:
-            sched._buckets[idx].append(entry)
-        else:
-            ready = sched._ready
-            if len(ready) == sched._ready_idx or entry >= ready[-1]:
-                ready.append(entry)
-            else:
-                _insort(ready, entry, sched._ready_idx)
-        # Growth check amortised to every 256th event: the sequence
-        # counter is already in hand, and resize points remain a pure
-        # function of the event sequence (determinism holds — resizing
-        # never changes pop order anyway).
-        if not eid & 255 and sched._count > sched._grow_at:
-            sched._resize(sched._nbuckets * 2)
+        _push(self._sched, (self._now + delay, _key | eid, event))
         return event
 
     def process(self, generator: ProcessGenerator) -> Process:
@@ -261,44 +219,16 @@ class Environment:
                           delay=deadline - self._now)
 
         # The dispatch loop.  Everything the per-event path touches is
-        # a local.  The calendar pop fast path is inlined: consume the
-        # next cell of the current (sorted) bucket, nulling it out so
-        # the bucket does not keep a processed event alive.
-        sched = self._sched
-        advance = sched._advance
+        # a local.
+        heap = self._sched
+        pop = heappop
         trace = self.trace
         try:
             while True:
-                ridx = sched._ready_idx
-                ready = sched._ready
                 try:
-                    # IndexError <=> the current slot is drained.
-                    when, _, event = ready[ridx]
-                    ready[ridx] = None
-                    sched._ready_idx = ridx + 1
+                    when, _, event = pop(heap)
                 except IndexError:
-                    # Probe the next slot inline (the dominant slow-path
-                    # case for sparse wheels) before falling back to the
-                    # generic advance; this mirrors _advance's one-step
-                    # bookkeeping.
-                    nxt = sched._cur_slot + 1
-                    bucket = (sched._buckets[nxt]
-                              if nxt < sched._nbuckets else None)
-                    if bucket:
-                        sched._count -= ridx
-                        del ready[:]
-                        if len(bucket) > 1:
-                            bucket.sort()
-                        sched._cur_slot = nxt
-                        sched._ready = bucket
-                        sched._ready_idx = 1
-                        when, _, event = bucket[0]
-                        bucket[0] = None
-                    else:
-                        entry = advance()
-                        if entry is None:
-                            break
-                        when, _, event = entry
+                    break
                 self._now = when
                 if trace is not None:
                     trace(when, event)

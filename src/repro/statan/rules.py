@@ -22,10 +22,11 @@ retry-bound    RETRY001 ``while True`` retry loops (pause + ``continue``)
 seed-threading SEED001 system/fault builders called without threading the
                        experiment's injected RNG (silent fallback to
                        ``DEFAULT_FAULT_SEED``)
-perf-hot-path  PERF00x direct ``heapq`` use outside the calendar-queue
-                       module, and per-event ``Event``/``Timeout``/``Span``
-                       construction inside loops in ``sim``/``tracing``
-                       hot paths that bypass the event factories
+perf-hot-path  PERF00x direct ``heapq`` use outside ``Environment``'s
+                       schedule (``sim/core.py``), and per-event
+                       ``Event``/``Timeout``/``Span`` construction inside
+                       loops in ``sim``/``tracing`` hot paths that
+                       bypass the event factories
 queue-bound    QUEUE001 unbounded ``Store``/``deque``/``Queue``
                        construction in ``tiers/``/``controlplane/``
                        request-path code (no capacity/maxlen/maxsize)
@@ -728,28 +729,27 @@ _HEAPQ_FUNCS = {
 #: (``env.timeout()``/``env.event()``/the tracer's ``__new__``-based
 #: span builders); a direct constructor call bypasses it.
 _FACTORY_CLASSES = {"Event", "Timeout", "Span"}
-#: The scheduler module owns the overflow heap; it is the one place
-#: heapq belongs.
-_SCHEDULER_MODULE = "calendar.py"
+#: ``Environment``'s schedule is a heapq list in ``sim/core.py``, the
+#: one module where heapq belongs.
+_SCHEDULER_MODULE = "core.py"
 
 
 class PerfHotPathRule(Rule):
     """Hot paths must go through the scheduler and the event factories.
 
-    The kernel keeps every per-event cost behind two chokepoints: the
-    :class:`~repro.sim.calendar.CalendarQueue` (the only sanctioned
-    event ordering structure — its overflow heap is an implementation
-    detail of ``calendar.py``) and the event factories
-    (``env.timeout()``, ``env.event()``, the tracer's ``Span.__new__``
-    builders), each the one construction path of its class, with the
-    ``__init__`` chain and the calendar insert inlined.  Code under
-    ``sim``/``tracing`` that hand-rolls a ``heapq`` schedule
-    re-introduces the O(log n) sifts the calendar queue replaced, and a
-    loop that constructs ``Event``/``Timeout``/``Span`` instances
-    directly pays the constructor chain the factories inline (or, for
-    ``Timeout``, has no constructor to call) — both are invisible in
-    tests and only surface as a throughput regression in
-    ``bench-smoke``.
+    The kernel keeps every per-event cost behind two chokepoints:
+    ``Environment``'s schedule (the only sanctioned event ordering
+    structure — its ``heapq`` list is an implementation detail of
+    ``sim/core.py``) and the event factories (``env.timeout()``,
+    ``env.event()``, the tracer's ``Span.__new__`` builders), each the
+    one construction path of its class, with the ``__init__`` chain and
+    the schedule insert inlined.  Code under ``sim``/``tracing`` that
+    hand-rolls a ``heapq`` schedule orders events outside the one
+    schedule the golden traces pin, and a loop that constructs
+    ``Event``/``Timeout``/``Span`` instances directly pays the
+    constructor chain the factories inline (or, for ``Timeout``, has
+    no constructor to call) — a cost invisible in tests that surfaces
+    only as a throughput regression in ``bench-smoke``.
     """
 
     id = "perf-hot-path"
@@ -760,7 +760,7 @@ class PerfHotPathRule(Rule):
         rule = self
         parts = ctx.path.replace("\\", "/").split("/")
         applies = "sim" in parts or "tracing" in parts
-        is_scheduler = parts[-1] == _SCHEDULER_MODULE
+        is_scheduler = parts[-2:] == ["sim", _SCHEDULER_MODULE]
 
         class Visitor(ast.NodeVisitor):
             def __init__(self) -> None:
@@ -823,9 +823,9 @@ class PerfHotPathRule(Rule):
     def _report_heapq(self, ctx: Context, node: ast.AST) -> None:
         ctx.report(node, "PERF001", self.id, Severity.WARNING,
                    "direct heapq use in a sim/tracing hot path: event "
-                   "ordering belongs to the CalendarQueue scheduler "
-                   "(Environment.schedule/timeout); hand-rolled heaps "
-                   "re-introduce the O(log n) sifts it replaced")
+                   "ordering belongs to Environment's schedule "
+                   "(Environment.schedule/timeout); a hand-rolled heap "
+                   "orders events outside it")
 
     def _check_call(self, ctx: Context, node: ast.Call,
                     is_scheduler: bool, loop_depth: int) -> None:

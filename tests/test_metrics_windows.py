@@ -118,6 +118,16 @@ class TestBusyTracker:
         after = (cpu.busy_slots, cpu.busy_seconds(3.0), len(cpu._checkpoints))
         assert after == before == (1, 3.0, 4)
 
+    @pytest.mark.parametrize("call", ["acquire", "release"])
+    def test_nan_time_is_refused(self, call):
+        cpu = BusyTracker(slots=2)
+        cpu.acquire(0.0)
+        before = (cpu.busy_slots, cpu.busy_seconds(3.0), len(cpu._checkpoints))
+        with pytest.raises(AnalysisError):
+            getattr(cpu, call)(float("nan"))
+        after = (cpu.busy_slots, cpu.busy_seconds(3.0), len(cpu._checkpoints))
+        assert after == before == (1, 3.0, 2)
+
     def test_over_acquire_raises(self):
         cpu = BusyTracker(slots=1)
         cpu.acquire(0.0)

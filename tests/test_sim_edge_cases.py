@@ -4,18 +4,14 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import (
+    NORMAL,
+    URGENT,
     AnyOf,
     DropQueue,
     Environment,
     Event,
     Interrupt,
     Store,
-)
-from repro.sim.calendar import (
-    DEFAULT_BUCKETS,
-    GROW_FACTOR,
-    MIN_BUCKETS,
-    CalendarQueue,
 )
 from repro.sim.monitor import MonitorHub, Sampler
 
@@ -211,181 +207,44 @@ class TestEnvironmentEdgeCases:
         assert fired == list(range(1000))
 
 
-def _entry(t, seq):
-    """A kernel-shaped ``(time, key, payload)`` scheduler entry.
-
-    The kernel packs ``key = (priority << 53) | eid``; the scheduler's
-    contract is plain tuple comparison, so a bare sequence int is an
-    equivalent key for direct queue tests.
-    """
-    return (t, seq, ("payload", seq))
-
-
-def _drain(queue):
-    out = []
-    while True:
-        entry = queue.pop()
-        if entry is None:
-            return out
-        out.append(entry)
-
-
-class TestCalendarQueueOrdering:
-    """Direct scheduler tests: pop order must equal global sorted order
-    of ``(time, key)`` in every wheel configuration the kernel can hit
+class TestSchedulerThroughEnvironment:
+    """Schedule ordering edge cases, driven through the public kernel
+    API: events must pop in exact ``(time, priority, creation)`` order
     (the golden-trace hashes depend on exactly this)."""
 
-    def test_pop_order_globally_sorted_with_duplicates(self):
+    def test_fire_order_is_time_priority_creation(self):
+        """Events created in shuffled order, with duplicate times and
+        both priorities at a shared time, fire sorted by ``(time,
+        priority, creation)``: URGENT before NORMAL at equal times,
+        then first created first."""
         import random
 
         rng = random.Random(7)
-        entries = [_entry(rng.choice([0.0, 1e-4, 1e-3, 0.05, 0.3, 2.0]),
-                          seq) for seq in range(500)]
-        queue = CalendarQueue()
-        shuffled = entries[:]
-        rng.shuffle(shuffled)
-        for entry in shuffled:
-            queue.push(entry)
-        assert _drain(queue) == sorted(entries)
-        assert len(queue) == 0 and not queue
-
-    def test_same_timestamp_cluster_pops_in_sequence_order(self):
-        """A large equal-time cohort cannot be spread by any bucket
-        width; FIFO order must still hold exactly."""
-        queue = CalendarQueue()
-        n = 4 * GROW_FACTOR * DEFAULT_BUCKETS  # forces resize attempts
-        for seq in range(n):
-            queue.push(_entry(0.123, seq))
-        assert [e[1] for e in _drain(queue)] == list(range(n))
-
-    def test_same_timestamp_cluster_backs_off_resizing(self):
-        """An unspreadable cluster must not re-trigger an O(n) rebuild
-        on every subsequent push: when the rebuild cannot spread the
-        pending set below the new wheel's grow trigger, the trigger
-        backs off to ``count * GROW_FACTOR`` (white-box: ``_resize`` is
-        invoked directly because the push-triggered doubling always
-        provides enough headroom on its own)."""
-        queue = CalendarQueue()
-        n = 3 * MIN_BUCKETS
-        entries = [_entry(0.1, seq) for seq in range(n)]
-        for entry in entries:
-            queue.push(entry)
-        queue._resize(MIN_BUCKETS)  # cannot spread n same-time entries
-        assert queue._grow_at == n * GROW_FACTOR
-        assert _drain(queue) == entries
-
-    def test_overflow_pushes_never_trigger_resize(self):
-        """Beyond-horizon entries sit in the overflow heap, not the
-        wheel, so piling them up must not grow the wheel."""
-        queue = CalendarQueue()
-        for seq in range(4 * GROW_FACTOR * DEFAULT_BUCKETS):
-            queue.push(_entry(1e3 + seq, seq))
-        assert queue.nbuckets == DEFAULT_BUCKETS
-
-    def test_beyond_horizon_entries_go_to_overflow(self):
-        queue = CalendarQueue()
-        horizon = queue._horizon
-        near = [_entry(1e-4 * i, seq) for seq, i in enumerate(range(10))]
-        far = [_entry(horizon * (i + 1.5), 100 + i) for i in range(5)]
-        for entry in far + near:
-            queue.push(entry)
-        assert len(queue._overflow) == len(far)
-        assert _drain(queue) == sorted(near + far)
-
-    def test_far_future_entry_jumps_epochs(self):
-        """A lone entry many epochs out must pop without scanning every
-        empty intermediate epoch (the rollover jump path)."""
-        queue = CalendarQueue()
-        entry = _entry(1e6, 1)
-        queue.push(entry)
-        assert queue.pop() == entry
-        assert queue.pop() is None
-
-    def test_push_into_draining_slot_keeps_order(self):
-        """Zero-delay scheduling lands in the current slot while it
-        drains; both the append fast path and the insort path must
-        place the entry correctly against the undrained suffix."""
-        queue = CalendarQueue()
-        queue.push(_entry(1e-4, 1))
-        queue.push(_entry(9e-4, 2))   # same initial slot (width 1 ms)
-        assert queue.pop() == _entry(1e-4, 1)
-        queue.push(_entry(2e-4, 3))   # < ready tail: insort path
-        queue.push(_entry(9.5e-4, 4))  # >= ready tail: append path
-        assert [e[1] for e in _drain(queue)] == [3, 2, 4]
-
-
-class TestCalendarQueueResize:
-    def test_grows_under_load_and_keeps_order(self):
-        queue = CalendarQueue()
-        entries = [_entry(i * 1e-5, i)
-                   for i in range(4 * GROW_FACTOR * DEFAULT_BUCKETS)]
-        for entry in entries:
-            queue.push(entry)
-        assert queue.nbuckets > DEFAULT_BUCKETS
-        assert _drain(queue) == entries
-
-    def test_resize_adapts_width_to_skewed_spacing(self):
-        """Dense sub-microsecond cluster plus a sparse far tail: the
-        re-estimated width must follow the median gap (the cluster),
-        not the outliers, and order must survive the rebuild."""
-        dense = [_entry(i * 1e-6, i) for i in range(600)]
-        sparse = [_entry(10.0 + i, 1000 + i) for i in range(5)]
-        queue = CalendarQueue()
-        for entry in sparse + dense:
-            queue.push(entry)
-        assert queue.nbuckets > DEFAULT_BUCKETS
-        assert queue.width < 1e-4  # tracked the dense cluster's gaps
-        assert _drain(queue) == sorted(dense + sparse)
-
-    def test_resize_mid_drain_resumes_exactly(self):
-        """Growing while the current slot is partially consumed must
-        not replay popped entries or skip pending ones."""
-        queue = CalendarQueue()
-        first = [_entry(i * 1e-6, i) for i in range(100)]
-        for entry in first:
-            queue.push(entry)
-        popped = [queue.pop() for _ in range(50)]
-        assert popped == first[:50]
-        rest = [_entry(1e-3 + i * 1e-6, 100 + i)
-                for i in range(2 * GROW_FACTOR * DEFAULT_BUCKETS)]
-        for entry in rest:
-            queue.push(entry)
-        assert queue.nbuckets > DEFAULT_BUCKETS
-        assert _drain(queue) == first[50:] + rest
-
-    def test_shrinks_at_rollover_when_nearly_empty(self):
-        queue = CalendarQueue()
-        # 0.2 ms spacing keeps every entry inside the initial 0.256 s
-        # horizon, so the pushes land in the wheel and trigger growth.
-        spread = [_entry(i * 2e-4, i)
-                  for i in range(2 * GROW_FACTOR * DEFAULT_BUCKETS)]
-        for entry in spread:
-            queue.push(entry)
-        grown = queue.nbuckets
-        assert grown > DEFAULT_BUCKETS
-        straggler = _entry(1e4, 10 ** 6)
-        queue.push(straggler)
-        for expected in spread:
-            assert queue.pop() == expected
-        # Next pop crosses an epoch boundary with one pending entry:
-        # the wheel must halve rather than scan at full size forever.
-        assert queue.pop() == straggler
-        assert queue.nbuckets < grown
-        assert queue.nbuckets >= MIN_BUCKETS
-
-    def test_never_shrinks_below_min_buckets(self):
-        queue = CalendarQueue(nbuckets=MIN_BUCKETS)
-        queue.push(_entry(1e5, 1))
-        assert queue.pop() == _entry(1e5, 1)
-        assert queue.nbuckets == MIN_BUCKETS
-
-
-class TestSchedulerThroughEnvironment:
-    """The same edge cases driven through the public kernel API."""
+        specs = [(rng.choice([0.0, 1e-4, 1e-3, 0.05, 0.3, 2.0]), None)
+                 for _ in range(500)]
+        specs += [(0.05, priority) for priority in (URGENT, NORMAL) * 20]
+        rng.shuffle(specs)
+        env = Environment()
+        fired = []
+        for creation, (delay, priority) in enumerate(specs):
+            if priority is None:
+                event = env.timeout(delay)
+                priority = NORMAL
+            else:
+                event = env.event()
+                env.schedule(event, priority=priority, delay=delay)
+            key = (delay, priority, creation)
+            event.callbacks.append(lambda _, key=key: fired.append(key))
+        env.run()
+        assert len(fired) == len(specs)
+        assert fired == sorted(fired)
+        at_shared = [priority for t, priority, _ in fired if t == 0.05]
+        assert at_shared[:20] == [URGENT] * 20
+        assert set(at_shared[20:]) == {NORMAL}
 
     def test_zero_delay_during_drain_runs_before_later_same_slot(self):
-        """A zero-delay continuation scheduled *while its slot drains*
-        must fire before a later event in the same bucket."""
+        """A zero-delay continuation scheduled while the schedule drains
+        must fire before a later event less than a millisecond on."""
         env = Environment()
         order = []
 
@@ -405,9 +264,8 @@ class TestSchedulerThroughEnvironment:
         assert order == ["early", "continuation", "late"]
 
     def test_think_time_scale_mixes_with_sub_ms_events(self):
-        """Think-time events (~1 s) start beyond the default wheel
-        horizon (0.256 s) and must interleave correctly with the sub-ms
-        service-time churn the wheel is tuned for."""
+        """Think-time events (~1 s) must interleave correctly with
+        sub-ms service-time churn."""
         env = Environment()
         fired = []
 
@@ -436,13 +294,13 @@ class TestSchedulerThroughEnvironment:
         env.run()
         assert env.now == 1.0
 
-    def test_massive_same_time_cohort_is_fifo_through_resize(self):
-        """Enough simultaneous processes to force wheel resizes while
-        every event shares one timestamp: completion order must stay
+    def test_massive_same_time_cohort_is_fifo(self):
+        """A large cohort of simultaneous processes where every event
+        shares one timestamp: completion order must stay
         process-creation order (the packed-key FIFO contract)."""
         env = Environment()
         fired = []
-        n = 2 * GROW_FACTOR * DEFAULT_BUCKETS
+        n = 1024
 
         def proc(env, tag):
             yield env.timeout(0.5)

@@ -425,7 +425,7 @@ class TestSeedThreadingRule:
 class TestPerfHotPathRule:
     SIM = "src/repro/sim/hotmod.py"
     TRACING = "src/repro/tracing/hotmod.py"
-    SCHEDULER = "src/repro/sim/calendar.py"
+    SCHEDULER = "src/repro/sim/core.py"
     ELSEWHERE = "src/repro/cluster/runner.py"
 
     def test_heapq_import_in_sim_fires(self):
@@ -451,9 +451,13 @@ class TestPerfHotPathRule:
     def test_scheduler_module_owns_its_heap(self):
         assert codes("""
             from heapq import heappop, heappush
-            def push_overflow(overflow, entry):
-                heappush(overflow, entry)
+            def schedule(sched, entry):
+                heappush(sched, entry)
         """, path=self.SCHEDULER) == []
+
+    def test_core_module_outside_sim_is_not_the_scheduler(self):
+        assert "PERF001" in codes("import heapq\n",
+                                  path="src/repro/tracing/core.py")
 
     def test_heapq_outside_sim_tracing_is_clean(self):
         assert codes("import heapq\n", path=self.ELSEWHERE) == []

@@ -42,6 +42,13 @@ file, and two autoscaled specs whose replica churn crosses a
 retired replica names and every autoscaler action, so a change to how
 a boundary forwards requests or tracks membership cannot move a
 shape's behaviour unseen.
+
+:class:`TestFaultDigest` pins every fault kind end to end: one short
+run per ``FAULT_SCENARIOS`` timeline (the zone timelines on the
+``geo`` builtin), the geo ``cache_failover`` cell and a recurring-crash
+cell, each hashed over its :class:`RunMetrics` and kernel event count,
+so a change to how a fault is scheduled, applied or undone cannot move
+a run unseen.
 """
 
 import hashlib
@@ -52,8 +59,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.config import ScaleProfile
+from repro.cluster.faults import RecurringFault
+from repro.cluster.geo import GEO_FAULTS
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
 from repro.cluster.scenarios import (
+    FAULT_SCENARIOS,
+    ZONE_FAULT_KEYS,
     baseline_no_millibottleneck,
     fault_specs,
     policy_run,
@@ -397,6 +408,81 @@ class TestBuildDigest:
         assert digest == BUILD_GOLDENS[shape]
 
 
+#: Fault-digest cells: every ``FAULT_SCENARIOS`` timeline, the geo
+#: ``cache_failover`` cell and a recurring crash, each run for
+#: :data:`FAULT_DIGEST_DURATION` simulated seconds at seed 5.
+FAULT_DIGEST_DURATION = 3.0
+FAULT_CELLS = sorted(FAULT_SCENARIOS) + ["geo/cache_failover",
+                                         "recurring_crash"]
+
+FAULT_GOLDENS = {
+    "burst":
+        "6cd2aceb1c8db081eb2eb7930ad2b36c1b8d3657996a155d7a27275134b23b56",
+    "crash":
+        "5d47efe5fa26872bc690bdc85789f7fc74f7e01740e30ddaca82b50d7691ab9e",
+    "link_latency":
+        "a6254f45fb1c9bbdd2cb04933eec8deb2474024cb407aa223104cceae2a00bd2",
+    "none":
+        "47437d3c36c83721ae800985139a98fa8a4126de360489c37792da6d2db51d86",
+    "packet_loss":
+        "df1e8b2e5faeb4696727455065ef1825076f326e7bebf2aa702a9672f7ff77c0",
+    "recurring_slow":
+        "c35c8eed66692e8853ff169f0ef912d15abd60823ae57f21c1ea0862a4ab2de9",
+    "slow":
+        "40a2e8a80b5b8e3a1efa74de073c896b6d26bda4a0a4bba7dfc4d1da53ca486e",
+    "transient_crash":
+        "e5e6b5e10f7f8ced3edd73f8a20afe5a1e6e1f6174fed94ecb9c69b2f3644d95",
+    "wan_degradation":
+        "da8f36e2b0fea9bb0088ebdc9d0b77bce88fdd2213f48de3285912909f8cc405",
+    "zone_outage":
+        "d96d3694149ae99c14aaf4d5d2a9e9dbd7774bd5f0efe1fd0ac156821444c313",
+    "geo/cache_failover":
+        "4913267e872d9e2b58dba5b0a9c435b1a222f74140170a71c79d613ba938e16a",
+    "recurring_crash":
+        "2f0f12518d02925c8013a7dd0901602f237cebf2d42853fb026a7b8367f966fc",
+}
+
+
+def fault_config(cell):
+    """The run of one fault cell: zone timelines and ``geo/`` cells on
+    the ``geo`` builtin, the rest on the smoke-profile classic shape."""
+    duration = FAULT_DIGEST_DURATION
+    if cell == "geo/cache_failover":
+        faults = GEO_FAULTS["cache_failover"](duration)
+    elif cell == "recurring_crash":
+        faults = (RecurringFault("tomcat1", kind="crash",
+                                 mean_interval=0.2, duration=0.05),)
+    else:
+        faults = FAULT_SCENARIOS[cell](duration)
+    zoned = cell in ZONE_FAULT_KEYS or cell.startswith("geo/")
+    return ExperimentConfig(
+        profile=ScaleProfile() if zoned else ScaleProfile.smoke(),
+        topology=TopologySpec.geo() if zoned else None,
+        bundle_key="current_load_modified", faults=faults,
+        trace_requests=cell.startswith("geo/"), duration=duration,
+        seed=5, trace_balancers=False)
+
+
+def fault_digest(cell):
+    """Run one fault cell and hash its metrics and event count."""
+    env = Environment()
+    metrics = ExperimentRunner(fault_config(cell)).run(env=env).metrics
+    lines = ["{} {!r}".format(field.name, getattr(metrics, field.name))
+             for field in fields(metrics) if field.name != "config"]
+    lines.append("events {}".format(env._eid))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestFaultDigest:
+    """Every fault kind, scheduled through a run, end to end."""
+
+    @pytest.mark.parametrize("cell", FAULT_CELLS)
+    def test_cell_matches_committed_digest(self, cell):
+        assert fault_digest(cell) == FAULT_GOLDENS[cell]
+
+
 if __name__ == "__main__":
     for name in sorted(BUILD_SHAPES):
         print("    {!r}:\n        {!r},".format(name, build_digest(name)[0]))
+    for name in sorted(FAULT_CELLS):
+        print("    {!r}:\n        {!r},".format(name, fault_digest(name)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import ExperimentConfig, ScaleProfile, build_from_spec
 from repro.analysis import table
-from repro.cluster import FaultInjector
+from repro.cluster import CrashFault, FaultInjector
 from repro.core import MemberState, StateConfig
 from repro.netmodel import RetransmissionPolicy
 from repro.sim import Environment
@@ -46,7 +46,7 @@ def main() -> None:
         think_time=profile.think_time,
         retransmission=RetransmissionPolicy())
     injector = FaultInjector(env, rng=np.random.default_rng(0))
-    injector.crash_at(system.tiers["tomcat"][2], at=5.0)  # tomcat3 dies
+    injector.inject(CrashFault("tomcat3", at=5.0), system)
 
     print("Running {}s with millibottlenecks on all Tomcats and a "
           "permanent crash of tomcat3 at t=5s...".format(DURATION))

@@ -79,10 +79,8 @@ class ScaleProfile:
     # -- web tier ------------------------------------------------------
     apache_max_clients: int = 24
     apache_backlog: int = 32
-    apache_cores: int = 4
     # -- app tier ------------------------------------------------------
     tomcat_max_threads: int = 16
-    tomcat_cores: int = 4
     #: Endpoints per (Apache, Tomcat) pair.  The paper's ratio of web
     #: workers to pool size (per process: 100 threads vs 25 endpoints)
     #: is what makes pool exhaustion — not worker exhaustion — the
@@ -91,7 +89,6 @@ class ScaleProfile:
     connection_pool_size: int = 6
     # -- database tier -------------------------------------------------
     mysql_connections: int = 48
-    mysql_cores: int = 4
     # -- millibottleneck machinery --------------------------------------
     #: Effective log write-back bandwidth of the app-tier spindle.
     #: Small, seek-heavy log writes on a 7200 RPM SATA disk sustain
@@ -101,10 +98,6 @@ class ScaleProfile:
     apache_disk_bandwidth: float = 8e6
     flush_interval: float = 4.0
     flush_threshold_bytes: float = 256e3
-    #: First-flush offsets per Tomcat, so one server stalls at a time
-    #: (matches the paper's zoom-ins where a single Tomcat has the
-    #: millibottleneck).
-    tomcat_flush_stagger: float = 1.0
 
     def __post_init__(self) -> None:
         if self.apache_count < 1 or self.tomcat_count < 1:

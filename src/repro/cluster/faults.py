@@ -29,12 +29,14 @@ every transient-vs-permanent shade the distinction has:
 
 Every fault is declarative (a frozen, picklable spec naming its target
 server) so :class:`~repro.cluster.runner.ExperimentConfig` can carry a
-tuple of them across process boundaries; the
-:class:`FaultInjector` resolves names against the built system and
-drives the schedules.  All randomness comes from the injector's seeded
-generator: fault schedules are RNG-stream-keyed, never wall-clock, so
-the same seed gives the same fault timeline under ``workers=1`` and
-``workers=N``.
+tuple of them across process boundaries.  :meth:`FaultInjector.inject`
+is the one way to schedule a fault: it resolves the spec's names
+against the built system and starts one window process per target,
+which waits until the fault starts, applies it, appends a
+:class:`FaultRecord`, waits out the window and undoes it.  All
+randomness comes from the injector's seeded generator: fault schedules
+are RNG-stream-keyed, never wall-clock, so the same seed gives the
+same fault timeline under ``workers=1`` and ``workers=N``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro.cluster.spec import LinkProfileSpec
 from repro.errors import ConfigurationError
-from repro.netmodel.sockets import Link, LinkProfile, NetworkImpairment
+from repro.netmodel.sockets import NetworkImpairment
 from repro.tiers.base import TierServer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,55 +61,38 @@ _INF = float("inf")
 # -- ground-truth records ---------------------------------------------------
 
 @dataclass
-class CrashRecord:
-    """Ground truth about one injected crash.
+class FaultRecord:
+    """Ground truth about one fault window on one target.
 
-    Appended when the crash *starts* (``recovered_at`` still ``None``),
-    and updated in place on recovery — so a run inspected mid-crash
-    already shows the record.
+    ``kind`` is ``"crash"``, ``"slow"`` (``value`` is the slowdown
+    factor), ``"loss"`` (the loss fraction), ``"latency"`` (the added
+    one-way latency) or ``"wan"`` (the degraded WAN latency); a crash
+    has no ``value``.  Appended when the fault is applied, with
+    ``ended_at`` still ``None``, and updated in place when it is undone
+    — so a run inspected mid-fault already shows the record, and a
+    permanent crash keeps ``ended_at=None``.
     """
 
-    server: str
-    crashed_at: float
-    recovered_at: Optional[float] = None
-
-
-@dataclass
-class SlowRecord:
-    """Ground truth about one fail-slow (degraded-service) window."""
-
-    server: str
-    factor: float
-    started_at: float
-    ended_at: Optional[float] = None
-
-
-@dataclass
-class NetworkFaultRecord:
-    """Ground truth about one network impairment window."""
-
+    kind: str
     target: str
-    kind: str  # "loss" or "latency"
-    magnitude: float
+    value: Optional[float]
     started_at: float
     ended_at: Optional[float] = None
 
 
 # -- field rules --------------------------------------------------------------
-# Each rule lives here once: a spec checks its fields when it is built,
-# and the injector method scheduling the same fault checks its
-# arguments through the same helper.
+# Each rule is checked once, in the ``__post_init__`` of the spec that
+# has the field; the helpers below are the rules several specs share.
 
 def _require(condition: bool, message: str, value) -> None:
     if not condition:
         raise ConfigurationError("{} (got {!r})".format(message, value))
 
 
-def _check_window(at: float, duration: Optional[float],
-                  now: float = 0.0) -> None:
-    """A fault starts no earlier than ``now`` and, unless permanent
+def _check_window(at: float, duration: Optional[float]) -> None:
+    """A fault starts no earlier than time 0 and, unless permanent
     (``duration=None``), lasts a positive time."""
-    _require(at >= now, "cannot schedule a fault in the past", at)
+    _require(at >= 0.0, "cannot schedule a fault in the past", at)
     _require(duration is None or duration > 0,
              "duration must be positive", duration)
 
@@ -116,32 +101,8 @@ def _check_factor(factor: float) -> None:
     _require(factor > 1.0, "slowdown factor must be > 1.0", factor)
 
 
-def _check_impairment(loss: float, extra_latency: float) -> None:
-    _require(0.0 <= loss < 1.0, "loss must be in [0, 1)", loss)
-    _require(extra_latency >= 0, "extra_latency must be >= 0",
-             extra_latency)
-
-
-def _check_extra(extra: float) -> None:
-    _require(extra > 0, "extra latency must be positive", extra)
-
-
 def _check_jitter(jitter: float) -> None:
     _require(jitter >= 0, "jitter must be >= 0", jitter)
-
-
-def _check_recurring(kind: str, mean_interval: float) -> None:
-    _require(kind in ("crash", "slow"),
-             "recurring fault kind must be 'crash' or 'slow'", kind)
-    _require(mean_interval > 0, "mean_interval must be positive",
-             mean_interval)
-
-
-def _wan_profile(latency: float, jitter: float, loss: float,
-                 rto: float) -> LinkProfileSpec:
-    """A degraded WAN profile, checked by :class:`LinkProfileSpec`."""
-    return LinkProfileSpec(latency=latency, jitter=jitter, loss=loss,
-                           rto=rto)
 
 
 # -- declarative fault specs -----------------------------------------------
@@ -197,7 +158,10 @@ class PacketLossFault:
 
     def __post_init__(self) -> None:
         _check_window(self.at, self.duration)
-        _check_impairment(self.loss, self.extra_latency)
+        _require(0.0 <= self.loss < 1.0, "loss must be in [0, 1)",
+                 self.loss)
+        _require(self.extra_latency >= 0, "extra_latency must be >= 0",
+                 self.extra_latency)
 
 
 @dataclass(frozen=True)
@@ -213,7 +177,8 @@ class LinkLatencyFault:
 
     def __post_init__(self) -> None:
         _check_window(self.at, self.duration)
-        _check_extra(self.extra)
+        _require(self.extra > 0, "extra latency must be positive",
+                 self.extra)
 
 
 @dataclass(frozen=True)
@@ -254,7 +219,11 @@ class RecurringFault:
     until: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _check_recurring(self.kind, self.mean_interval)
+        _require(self.kind in ("crash", "slow"),
+                 "recurring fault kind must be 'crash' or 'slow'",
+                 self.kind)
+        _require(self.mean_interval > 0, "mean_interval must be positive",
+                 self.mean_interval)
         _check_window(self.start, self.duration)
         if self.kind == "slow":
             _check_factor(self.factor)
@@ -304,12 +273,51 @@ class WanDegradationFault:
 
     def __post_init__(self) -> None:
         _check_window(self.at, self.duration)
-        _wan_profile(self.latency, self.jitter, self.loss, self.rto)
+        self.profile()  # LinkProfileSpec checks the degraded fields
+
+    def profile(self) -> LinkProfileSpec:
+        """The degraded link profile the window swaps in."""
+        return LinkProfileSpec(latency=self.latency, jitter=self.jitter,
+                               loss=self.loss, rto=self.rto)
 
 
 FaultSpec = Union[CrashFault, SlowFault, PacketLossFault,
                   LinkLatencyFault, CorrelatedCrashFault, RecurringFault,
                   ZoneOutageFault, WanDegradationFault]
+
+
+# -- what a fault does to its target -----------------------------------
+# Each function applies one fault and returns the function that undoes
+# it; :meth:`FaultInjector._window` calls both, a window apart.
+
+def _crash(server: TierServer):
+    server.crash()
+    return server.recover
+
+
+def _slow(server: TierServer, factor: float):
+    host = server.host
+    host.slowdown *= factor
+    return lambda: setattr(host, "slowdown", host.slowdown / factor)
+
+
+def _impair(socket, impairment: NetworkImpairment):
+    socket.impairment = impairment
+    return lambda: setattr(socket, "impairment", None)
+
+
+def _delay(link, extra: float):
+    link.latency += extra
+    return lambda: setattr(link, "latency", link.latency - extra)
+
+
+def _degrade(link, profile):
+    # Undoing restores the profile the link carried when the window
+    # opened: its provisioned one, as long as degradations of one zone
+    # pair do not overlap.
+    healthy = link.profile
+    link.profile = profile
+    return lambda: setattr(link, "profile", healthy)
 
 
 # -- the injector -----------------------------------------------------------
@@ -331,29 +339,119 @@ class FaultInjector:
                  rng: np.random.Generator) -> None:
         self.env = env
         self._rng = rng
-        #: Crash ground truth, appended at crash time.
-        self.records: list[CrashRecord] = []
-        #: Fail-slow ground truth.
-        self.slow_records: list[SlowRecord] = []
-        #: Network impairment ground truth.
-        self.net_records: list[NetworkFaultRecord] = []
+        #: Ground truth of every fault window, appended as each starts.
+        self.records: list[FaultRecord] = []
         #: Scheduled crash windows per server, for overlap validation.
         self._crash_windows: dict[str, list[tuple[float, float]]] = {}
 
-    # -- crash (fail-stop) -----------------------------------------------
-    def crash_at(self, server: TierServer, at: float,
-                 duration: Optional[float] = None) -> None:
-        """Crash ``server`` at time ``at``.
+    def inject(self, spec: FaultSpec, system: "NTierSystem") -> None:
+        """Resolve a declarative spec against ``system`` and schedule it.
 
-        With ``duration`` the server recovers that many seconds later;
-        without it the crash is permanent for the rest of the run.
-        Overlapping crash windows on the same server are rejected —
-        crashing an already-crashed server is undefined behaviour.
+        Every fault is scheduled here: each target gets one window
+        process (:meth:`_window`).  Crashes of one server may not
+        overlap — crashing an already-crashed server is undefined
+        behaviour — so each crash books its window first.
         """
-        _check_window(at, duration, self.env.now)
+        at = getattr(spec, "at", None)
+        if at is not None:
+            _require(at >= self.env.now,
+                     "cannot schedule a fault in the past", at)
+        if isinstance(spec, CrashFault):
+            self._schedule_crash(system.server_named(spec.server),
+                                 spec.at, spec.duration)
+        elif isinstance(spec, SlowFault):
+            server = system.server_named(spec.server)
+            self.env.process(self._window(
+                "slow", server.name, spec.factor, spec.at, spec.duration,
+                _slow, server, spec.factor))
+        elif isinstance(spec, PacketLossFault):
+            sockets = [frontend.socket for frontend in system.frontends
+                       if spec.apache is None
+                       or frontend.name == spec.apache]
+            if not sockets:
+                raise ConfigurationError(
+                    "no web server named " + repr(spec.apache))
+            for socket in sockets:
+                impairment = NetworkImpairment(
+                    loss=spec.loss, extra_latency=spec.extra_latency,
+                    rng=np.random.default_rng(self._rng.integers(2 ** 63)))
+                self.env.process(self._window(
+                    "loss", socket.name, spec.loss, spec.at, spec.duration,
+                    _impair, socket, impairment))
+        elif isinstance(spec, LinkLatencyFault):
+            links = [member.link for balancer in system.balancers
+                     for member in balancer.members
+                     if member.name == spec.server]
+            if not links:
+                raise ConfigurationError(
+                    "no balancer link toward " + repr(spec.server))
+            for link in links:
+                self.env.process(self._window(
+                    "latency", link.name, spec.extra, spec.at,
+                    spec.duration, _delay, link, spec.extra))
+        elif isinstance(spec, CorrelatedCrashFault):
+            self._burst([system.server_named(name)
+                         for name in spec.servers], spec)
+        elif isinstance(spec, RecurringFault):
+            server = system.server_named(spec.server)
+            if spec.kind == "crash":
+                # One window for the whole schedule, so no other crash
+                # of the server may overlap it, whichever comes first.
+                self._book_crash(server, spec.start, _INF
+                                 if spec.until is None
+                                 else spec.until + spec.duration)
+            self.env.process(self._recurring(server, spec))
+        elif isinstance(spec, ZoneOutageFault):
+            servers = system.servers_in_zone(spec.zone)
+            if not servers:
+                raise ConfigurationError(
+                    "no servers placed in zone " + repr(spec.zone)
+                    + " (zone faults need a zoned topology)")
+            self._burst(servers, spec)
+        elif isinstance(spec, WanDegradationFault):
+            pair = tuple(sorted((spec.zone_a, spec.zone_b)))
+            links = [link for link in system.wan_links
+                     if link.zone_pair == pair]
+            if not links:
+                raise ConfigurationError(
+                    "no WAN links between zones {!r} and {!r}".format(
+                        spec.zone_a, spec.zone_b))
+            degraded = spec.profile().runtime(name="wan.degraded")
+            for link in links:
+                self.env.process(self._window(
+                    "wan", link.name, degraded.latency, spec.at,
+                    spec.duration, _degrade, link, degraded))
+        else:
+            raise ConfigurationError(
+                "unknown fault spec: {!r}".format(spec))
+
+    def inject_all(self, specs, system: "NTierSystem") -> None:
+        """Schedule every spec in ``specs`` against ``system``."""
+        for spec in specs:
+            self.inject(spec, system)
+
+    def _window(self, kind: str, target: str, value: Optional[float],
+                at: float, duration: Optional[float], apply, *args):
+        """Wait until ``at``, apply the fault (``apply(*args)``) and
+        record it, then undo it ``duration`` later (never, when
+        ``duration`` is ``None``)."""
+        if at > self.env.now:
+            yield self.env.timeout(at - self.env.now)
+        undo = apply(*args)
+        record = FaultRecord(kind, target, value, self.env.now)
+        self.records.append(record)
+        if duration is None:
+            return
+        yield self.env.timeout(duration)
+        undo()
+        record.ended_at = self.env.now
+
+    def _schedule_crash(self, server: TierServer, at: float,
+                        duration: Optional[float]) -> None:
         self._book_crash(server, at, _INF if duration is None
                          else at + duration)
-        self.env.process(self._run_crash(server, at, duration))
+        self.env.process(self._window("crash", server.name, None, at,
+                                      duration, _crash, server))
 
     def _book_crash(self, server: TierServer, start: float,
                     end: float) -> None:
@@ -368,240 +466,31 @@ class FaultInjector:
                                       booked_start, booked_end))
         windows.append((start, end))
 
-    def _run_crash(self, server: TierServer, at: float,
-                   duration: Optional[float]):
-        if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
-        server.crash()
-        # Record at crash time so a run that ends (or is inspected)
-        # mid-crash still shows the fault.
-        record = CrashRecord(server.name, self.env.now)
-        self.records.append(record)
-        if duration is None:
-            return
-        yield self.env.timeout(duration)
-        server.recover()
-        record.recovered_at = self.env.now
-
-    # -- fail-slow (degraded service rate) -------------------------------
-    def slow_at(self, server: TierServer, at: float, duration: float,
-                factor: float = 3.0) -> None:
-        """Multiply ``server``'s CPU demand by ``factor`` for a window."""
-        _check_window(at, duration, self.env.now)
-        _check_factor(factor)
-        self.env.process(self._run_slow(server, at, duration, factor))
-
-    def _run_slow(self, server: TierServer, at: float, duration: float,
-                  factor: float):
-        if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
-        host = server.host
-        host.slowdown *= factor
-        record = SlowRecord(server.name, factor, self.env.now)
-        self.slow_records.append(record)
-        yield self.env.timeout(duration)
-        host.slowdown /= factor
-        record.ended_at = self.env.now
-
-    # -- network impairments ---------------------------------------------
-    def impair_socket_at(self, socket, at: float, duration: float,
-                         loss: float = 0.01,
-                         extra_latency: float = 0.0) -> None:
-        """Drop ``loss`` of offers to ``socket`` (and delay survivors)
-        for a window."""
-        _check_window(at, duration, self.env.now)
-        _check_impairment(loss, extra_latency)
-        impairment = NetworkImpairment(
-            loss=loss, extra_latency=extra_latency,
-            rng=np.random.default_rng(self._rng.integers(2 ** 63)))
-        self.env.process(
-            self._run_impairment(socket, at, duration, impairment))
-
-    def _run_impairment(self, socket, at: float, duration: float,
-                        impairment: NetworkImpairment):
-        if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
-        record = NetworkFaultRecord(socket.name, "loss", impairment.loss,
-                                    self.env.now)
-        self.net_records.append(record)
-        socket.impairment = impairment
-        yield self.env.timeout(duration)
-        socket.impairment = None
-        record.ended_at = self.env.now
-
-    def add_link_latency_at(self, link: Link, at: float, duration: float,
-                            extra: float) -> None:
-        """Add ``extra`` one-way latency to ``link`` for a window."""
-        _check_window(at, duration, self.env.now)
-        _check_extra(extra)
-        self.env.process(self._run_link_latency(link, at, duration, extra))
-
-    def _run_link_latency(self, link: Link, at: float, duration: float,
-                          extra: float):
-        if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
-        record = NetworkFaultRecord(link.name, "latency", extra,
-                                    self.env.now)
-        self.net_records.append(record)
-        link.latency += extra
-        yield self.env.timeout(duration)
-        link.latency -= extra
-        record.ended_at = self.env.now
-
-    def degrade_wan_at(self, link: Link, at: float, duration: float,
-                       profile: LinkProfile) -> None:
-        """Swap ``link`` onto ``profile`` for a window, then restore."""
-        _check_window(at, duration, self.env.now)
-        if link.profile is None:
-            raise ConfigurationError(
-                "link {} has no WAN profile to degrade".format(link.name))
-        self.env.process(
-            self._run_wan_degradation(link, at, duration, profile))
-
-    def _run_wan_degradation(self, link: Link, at: float, duration: float,
-                             profile: LinkProfile):
-        if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
-        record = NetworkFaultRecord(link.name, "wan", profile.latency,
-                                    self.env.now)
-        self.net_records.append(record)
-        healthy = link.profile
-        link.profile = profile
-        yield self.env.timeout(duration)
-        # Restoring the *provisioned* profile is the point: overlapping
-        # degradations of one link are rejected by scenario construction
-        # (one WanDegradationFault per pair), so no concurrent writer
-        # exists to clobber.
-        link.profile = healthy  # statan: ignore[RACE001]
-        record.ended_at = self.env.now
-
-    # -- correlated bursts ------------------------------------------------
-    def correlated_crash(self, servers, at: float,
-                         duration: Optional[float] = None,
-                         jitter: float = 0.1) -> None:
-        """Crash every server in ``servers`` within ``jitter`` of ``at``."""
-        _check_jitter(jitter)
+    def _burst(self, servers: Sequence[TierServer],
+               spec: Union[CorrelatedCrashFault, ZoneOutageFault]) -> None:
+        """Crash every server within ``spec.jitter`` of ``spec.at``."""
         for server in servers:
-            offset = float(self._rng.uniform(0.0, jitter)) if jitter else 0.0
-            self.crash_at(server, at + offset, duration)
+            offset = (float(self._rng.uniform(0.0, spec.jitter))
+                      if spec.jitter else 0.0)
+            self._schedule_crash(server, spec.at + offset, spec.duration)
 
-    # -- recurring schedules ----------------------------------------------
-    def recurring(self, server: TierServer, kind: str = "crash",
-                  mean_interval: float = 5.0, duration: float = 0.5,
-                  factor: float = 3.0, start: float = 0.0,
-                  until: Optional[float] = None) -> None:
-        """Repeat a transient fault on an RNG-driven schedule.
-
-        A crash schedule books ``[start, until + duration)`` — without
-        ``until``, ``[start, inf)`` — as one crash window, so no other
-        crash of ``server`` may overlap it, whichever is injected
-        first.
-        """
-        _check_recurring(kind, mean_interval)
-        _check_window(start, duration)
-        if kind == "crash":
-            self._book_crash(server, start, _INF if until is None
-                             else until + duration)
-        else:
-            _check_factor(factor)
-        self.env.process(self._run_recurring(
-            server, kind, mean_interval, duration, factor, start, until))
-
-    def _run_recurring(self, server: TierServer, kind: str,
-                       mean_interval: float, duration: float,
-                       factor: float, start: float,
-                       until: Optional[float]):
-        if start > self.env.now:
-            yield self.env.timeout(start - self.env.now)
+    def _recurring(self, server: TierServer, spec: RecurringFault):
+        if spec.start > self.env.now:
+            yield self.env.timeout(spec.start - self.env.now)
         while True:
-            gap = float(self._rng.exponential(mean_interval))
+            gap = float(self._rng.exponential(spec.mean_interval))
             yield self.env.timeout(max(1e-6, gap))
-            if until is not None and self.env.now >= until:
+            if spec.until is not None and self.env.now >= spec.until:
                 return
-            if kind == "crash":
-                # Episodes are sequential by construction, and
-                # recurring() booked the whole schedule's window.
-                server.crash()
-                record = CrashRecord(server.name, self.env.now)
-                self.records.append(record)
-                yield self.env.timeout(duration)
-                server.recover()
-                record.recovered_at = self.env.now
+            # Episodes are sequential: each ends before the next gap.
+            if spec.kind == "crash":
+                yield from self._window("crash", server.name, None,
+                                        self.env.now, spec.duration,
+                                        _crash, server)
             else:
-                host = server.host
-                host.slowdown *= factor
-                record = SlowRecord(server.name, factor, self.env.now)
-                self.slow_records.append(record)
-                yield self.env.timeout(duration)
-                host.slowdown /= factor
-                record.ended_at = self.env.now
-
-    # -- declarative entry point ------------------------------------------
-    def inject(self, spec: FaultSpec, system: "NTierSystem") -> None:
-        """Resolve a declarative spec against ``system`` and schedule it."""
-        if isinstance(spec, CrashFault):
-            self.crash_at(system.server_named(spec.server), spec.at,
-                          spec.duration)
-        elif isinstance(spec, SlowFault):
-            self.slow_at(system.server_named(spec.server), spec.at,
-                         spec.duration, spec.factor)
-        elif isinstance(spec, PacketLossFault):
-            sockets = [frontend.socket for frontend in system.frontends
-                       if spec.apache is None
-                       or frontend.name == spec.apache]
-            if not sockets:
-                raise ConfigurationError(
-                    "no web server named " + repr(spec.apache))
-            for socket in sockets:
-                self.impair_socket_at(socket, spec.at, spec.duration,
-                                      spec.loss, spec.extra_latency)
-        elif isinstance(spec, LinkLatencyFault):
-            links = [member.link for balancer in system.balancers
-                     for member in balancer.members
-                     if member.name == spec.server]
-            if not links:
-                raise ConfigurationError(
-                    "no balancer link toward " + repr(spec.server))
-            for link in links:
-                self.add_link_latency_at(link, spec.at, spec.duration,
-                                         spec.extra)
-        elif isinstance(spec, CorrelatedCrashFault):
-            servers = [system.server_named(name) for name in spec.servers]
-            self.correlated_crash(servers, spec.at, spec.duration,
-                                  spec.jitter)
-        elif isinstance(spec, RecurringFault):
-            self.recurring(system.server_named(spec.server), spec.kind,
-                           spec.mean_interval, spec.duration, spec.factor,
-                           spec.start, spec.until)
-        elif isinstance(spec, ZoneOutageFault):
-            servers = system.servers_in_zone(spec.zone)
-            if not servers:
-                raise ConfigurationError(
-                    "no servers placed in zone " + repr(spec.zone)
-                    + " (zone faults need a zoned topology)")
-            self.correlated_crash(servers, spec.at, spec.duration,
-                                  spec.jitter)
-        elif isinstance(spec, WanDegradationFault):
-            pair = tuple(sorted((spec.zone_a, spec.zone_b)))
-            links = [link for link in system.wan_links
-                     if link.zone_pair == pair]
-            if not links:
-                raise ConfigurationError(
-                    "no WAN links between zones {!r} and {!r}".format(
-                        spec.zone_a, spec.zone_b))
-            degraded = _wan_profile(
-                spec.latency, spec.jitter, spec.loss,
-                spec.rto).runtime(name="wan.degraded")
-            for link in links:
-                self.degrade_wan_at(link, spec.at, spec.duration, degraded)
-        else:
-            raise ConfigurationError(
-                "unknown fault spec: {!r}".format(spec))
-
-    def inject_all(self, specs, system: "NTierSystem") -> None:
-        """Schedule every spec in ``specs`` against ``system``."""
-        for spec in specs:
-            self.inject(spec, system)
+                yield from self._window("slow", server.name, spec.factor,
+                                        self.env.now, spec.duration,
+                                        _slow, server, spec.factor)
 
 
 def fault_horizon(specs: Sequence[FaultSpec]) -> Optional[tuple[float, float]]:

@@ -829,13 +829,11 @@ class TopologySpec:
         profile = profile or ScaleProfile()
         tomcat_flush = (FlushSpec(
             interval=profile.flush_interval,
-            threshold_bytes=profile.flush_threshold_bytes,
-            stagger=profile.tomcat_flush_stagger)
+            threshold_bytes=profile.flush_threshold_bytes)
             if tomcat_millibottlenecks else None)
         apache_flush = (FlushSpec(
             interval=profile.flush_interval,
             threshold_bytes=profile.flush_threshold_bytes,
-            stagger=profile.tomcat_flush_stagger,
             phase=0.5)
             if apache_millibottlenecks else None)
         return cls(
@@ -844,20 +842,17 @@ class TopologySpec:
                 TierSpec(name="apache", service="frontend",
                          replicas=profile.apache_count,
                          capacity=profile.apache_max_clients,
-                         cores=profile.apache_cores,
                          backlog=profile.apache_backlog,
                          disk_bandwidth=profile.apache_disk_bandwidth,
                          flush=apache_flush),
                 TierSpec(name="tomcat", service="worker",
                          replicas=profile.tomcat_count,
                          capacity=profile.tomcat_max_threads,
-                         cores=profile.tomcat_cores,
                          disk_bandwidth=profile.tomcat_disk_bandwidth,
                          flush=tomcat_flush),
                 TierSpec(name="mysql", service="pooled",
                          replicas=1,
-                         capacity=profile.mysql_connections,
-                         cores=profile.mysql_cores),
+                         capacity=profile.mysql_connections),
             ),
             boundaries=(
                 BoundarySpec(mode="balanced",

@@ -158,10 +158,13 @@ class Environment:
         This is the kernel's dominant allocation, and the only way a
         :class:`Timeout` is built: the instance is created already
         triggered through ``Timeout.__new__``, with no ``__init__``/
-        ``schedule`` call chain.
+        ``schedule`` call chain.  An invalid delay is rejected with
+        :class:`SimulationError`, exactly as :meth:`schedule` rejects it.
         """
         if not 0.0 <= delay < _inf:
-            raise ValueError("invalid delay: {!r}".format(delay))
+            raise SimulationError(
+                "delay must be finite and non-negative, got {!r}".format(
+                    delay))
         event = _new(_cls)
         event.env = self
         event.callbacks = []

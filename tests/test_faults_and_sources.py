@@ -106,7 +106,7 @@ class TestFaultInjector:
         env = Environment()
         system, population = self.make_system(env)
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.crash_at(system.tiers["tomcat"][0], at=3.0)
+        injector.inject(CrashFault("tomcat1", at=3.0), system)
         env.run(until=8.0)
         # Every balancer eventually ejects the dead member...
         for balancer in system.balancers:
@@ -116,17 +116,17 @@ class TestFaultInjector:
             counts = balancer.distribution_between(4.0, 8.0)
             assert counts["tomcat1"] == 0
             assert counts["tomcat2"] > 0
-        assert injector.records[0].server == "tomcat1"
-        assert injector.records[0].recovered_at is None
+        assert injector.records[0].target == "tomcat1"
+        assert injector.records[0].ended_at is None
 
     def test_recovery_restores_service(self):
         env = Environment()
         system, population = self.make_system(env, error_recovery=1.0)
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.crash_at(system.tiers["tomcat"][0], at=2.0, duration=2.0)
+        injector.inject(CrashFault("tomcat1", at=2.0, duration=2.0), system)
         env.run(until=10.0)
         record = injector.records[0]
-        assert record.recovered_at == pytest.approx(4.0)
+        assert record.ended_at == pytest.approx(4.0)
         # After recovery plus the error window, traffic returns.
         for balancer in system.balancers:
             counts = balancer.distribution_between(6.0, 10.0)
@@ -148,8 +148,8 @@ class TestFaultInjector:
             env, [a.socket for a in system.frontends],
             total_clients=profile.clients, mix=read_write_mix(),
             rng=np.random.default_rng(0), think_time=profile.think_time)
-        FaultInjector(env, rng=np.random.default_rng(0)).crash_at(
-            system.tiers["tomcat"][1], at=3.0)
+        FaultInjector(env, rng=np.random.default_rng(0)).inject(
+            CrashFault("tomcat2", at=3.0), system)
         env.run(until=10.0)
         assert len(system.millibottleneck_records()) > 0
         for balancer in system.balancers:
@@ -165,9 +165,10 @@ class TestFaultInjector:
         from repro.tiers import PooledTier
         server = PooledTier(env, "m", host, max_connections=48)
         with pytest.raises(ConfigurationError):
-            injector.crash_at(server, at=1.0)
+            injector.inject(CrashFault("m", at=1.0), server_system(server))
         with pytest.raises(ConfigurationError):
-            injector.crash_at(server, at=6.0, duration=0)
+            injector.inject(CrashFault("m", at=6.0, duration=0),
+                            server_system(server))
 
     def test_crash_recover_flags(self):
         env = Environment()
@@ -192,63 +193,66 @@ class TestFaultZoo:
         env = Environment()
         server = self.make_server(env)
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.crash_at(server, at=1.0, duration=2.0)
+        injector.inject(CrashFault("m", at=1.0, duration=2.0),
+                        server_system(server))
         env.run(until=0.5)
         assert injector.records == []
         env.run(until=2.0)  # mid-crash
         assert len(injector.records) == 1
         record = injector.records[0]
-        assert record.crashed_at == pytest.approx(1.0)
-        assert record.recovered_at is None
+        assert record.started_at == pytest.approx(1.0)
+        assert record.ended_at is None
         env.run(until=4.0)
-        assert record.recovered_at == pytest.approx(3.0)
+        assert record.ended_at == pytest.approx(3.0)
 
     def test_overlapping_crash_windows_rejected(self):
         env = Environment()
         server = self.make_server(env)
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.crash_at(server, at=1.0, duration=2.0)
+        system = server_system(server)
+        injector.inject(CrashFault("m", at=1.0, duration=2.0), system)
         with pytest.raises(ConfigurationError):
-            injector.crash_at(server, at=2.0, duration=1.0)
+            injector.inject(CrashFault("m", at=2.0, duration=1.0), system)
         # A permanent crash overlaps everything after it.
         with pytest.raises(ConfigurationError):
-            injector.crash_at(server, at=0.5)
+            injector.inject(CrashFault("m", at=0.5), system)
         # Disjoint windows are fine; other servers are independent.
-        injector.crash_at(server, at=4.0, duration=0.5)
+        injector.inject(CrashFault("m", at=4.0, duration=0.5), system)
         other = FaultInjector(env, rng=np.random.default_rng(0))
-        other.crash_at(self.make_server(env), at=1.5, duration=1.0)
+        other.inject(CrashFault("m", at=1.5, duration=1.0),
+                     server_system(self.make_server(env)))
 
     def test_permanent_overlap_rejected_after_permanent(self):
         env = Environment()
         server = self.make_server(env)
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.crash_at(server, at=3.0)
+        injector.inject(CrashFault("m", at=3.0), server_system(server))
         with pytest.raises(ConfigurationError):
-            injector.crash_at(server, at=10.0, duration=1.0)
+            injector.inject(CrashFault("m", at=10.0, duration=1.0),
+                            server_system(server))
 
     def test_slow_fault_stretches_cpu_demand(self):
         env = Environment()
         server = self.make_server(env)
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.slow_at(server, at=1.0, duration=2.0, factor=3.0)
+        injector.inject(SlowFault("m", at=1.0, duration=2.0, factor=3.0),
+                        server_system(server))
         env.run(until=2.0)
         assert server.host.slowdown == pytest.approx(3.0)
         env.run(until=4.0)
         assert server.host.slowdown == pytest.approx(1.0)
-        record = injector.slow_records[0]
-        assert record.server == "m"
-        assert record.factor == 3.0
+        record = injector.records[0]
+        assert record.kind == "slow"
+        assert record.target == "m"
+        assert record.value == 3.0
         assert record.started_at == pytest.approx(1.0)
         assert record.ended_at == pytest.approx(3.0)
 
     def test_slow_fault_validation(self):
-        env = Environment()
-        server = self.make_server(env)
-        injector = FaultInjector(env, rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            injector.slow_at(server, at=1.0, duration=1.0, factor=1.0)
+            SlowFault("m", at=1.0, duration=1.0, factor=1.0)
         with pytest.raises(ConfigurationError):
-            injector.slow_at(server, at=1.0, duration=0.0)
+            SlowFault("m", at=1.0, duration=0.0)
 
     def make_full_system(self, env):
         profile = ScaleProfile.smoke()
@@ -270,9 +274,9 @@ class TestFaultZoo:
         for apache in system.frontends:
             assert apache.socket.impairment is None
         # One record per impaired socket, window recorded.
-        assert len(injector.net_records) == len(system.frontends)
+        assert len(injector.records) == len(system.frontends)
         assert all(r.kind == "loss" and r.ended_at == pytest.approx(3.0)
-                   for r in injector.net_records)
+                   for r in injector.records)
 
     def test_packet_loss_targets_one_apache(self):
         env = Environment()
@@ -304,8 +308,8 @@ class TestFaultZoo:
         for member, before in zip(members, base):
             assert member.link.latency == pytest.approx(before)
         # One record per balancer link toward the target.
-        assert len(injector.net_records) == len(system.balancers)
-        assert all(r.kind == "latency" for r in injector.net_records)
+        assert len(injector.records) == len(system.balancers)
+        assert all(r.kind == "latency" for r in injector.records)
 
     def test_correlated_crash_is_seed_deterministic(self):
         def crash_times(seed):
@@ -317,7 +321,7 @@ class TestFaultZoo:
                 CorrelatedCrashFault(("tomcat1", "tomcat2"), at=1.0,
                                      duration=1.0, jitter=0.3), system)
             env.run(until=3.0)
-            return sorted((r.server, r.crashed_at)
+            return sorted((r.target, r.started_at)
                           for r in injector.records)
 
         first, second = crash_times(7), crash_times(7)
@@ -335,10 +339,9 @@ class TestFaultZoo:
             RecurringFault("m", kind="slow", mean_interval=1.0,
                            duration=0.2, factor=2.0), server_system(server))
         env.run(until=10.0)
-        assert len(injector.slow_records) >= 3
+        assert len(injector.records) >= 3
         # Episodes are sequential: each ends before the next starts.
-        for earlier, later in zip(injector.slow_records,
-                                  injector.slow_records[1:]):
+        for earlier, later in zip(injector.records, injector.records[1:]):
             assert earlier.ended_at is not None
             assert earlier.ended_at <= later.started_at
         assert server.host.slowdown == pytest.approx(1.0)
@@ -347,19 +350,16 @@ class TestFaultZoo:
         env = Environment()
         server = self.make_server(env)
         injector = FaultInjector(env, rng=np.random.default_rng(3))
-        injector.recurring(server, kind="crash", mean_interval=0.5,
-                           duration=0.1, until=2.0)
+        injector.inject(RecurringFault("m", kind="crash", mean_interval=0.5,
+                                       duration=0.1, until=2.0),
+                        server_system(server))
         env.run(until=10.0)
-        assert all(r.crashed_at < 2.0 + 0.5 for r in injector.records)
+        assert all(r.started_at < 2.0 + 0.5 for r in injector.records)
         assert not server.crashed
 
     def test_recurring_kind_validation(self):
         with pytest.raises(ConfigurationError):
             RecurringFault("m", kind="explode")
-        env = Environment()
-        injector = FaultInjector(env, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            injector.recurring(self.make_server(env), kind="explode")
 
     def test_unknown_spec_rejected(self):
         env = Environment()
@@ -377,8 +377,7 @@ class TestFaultZoo:
              SlowFault("tomcat2", at=1.0, duration=0.5, factor=2.0)),
             system)
         env.run(until=3.0)
-        assert len(injector.records) == 1
-        assert len(injector.slow_records) == 1
+        assert sorted(r.kind for r in injector.records) == ["crash", "slow"]
 
     @pytest.mark.parametrize("partner", [
         CrashFault("m", at=1.0),
@@ -414,9 +413,9 @@ class TestFaultZoo:
         assert server.crashed
         *episodes, permanent = injector.records
         assert episodes
-        assert all(record.recovered_at is not None for record in episodes)
-        assert permanent.crashed_at == pytest.approx(3.0)
-        assert permanent.recovered_at is None
+        assert all(record.ended_at is not None for record in episodes)
+        assert permanent.started_at == pytest.approx(3.0)
+        assert permanent.ended_at is None
 
 
 #: One bad field per fault spec: each is rejected when the spec is

@@ -2,6 +2,8 @@
 zone-hierarchy conservation identities, WAN trace buckets, and the
 pinned headline (does hierarchy contain the millibottleneck?)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -313,14 +315,16 @@ class TestZoneFaults:
                     rng=np.random.default_rng(0),
                     zone_pair=("east", "west"))
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        degraded = LinkProfile(latency=0.25, loss=0.05, name="bad")
-        injector.degrade_wan_at(link, at=1.0, duration=2.0,
-                                profile=degraded)
+        injector.inject(WanDegradationFault("east", "west", at=1.0,
+                                            duration=2.0, latency=0.25,
+                                            loss=0.05),
+                        SimpleNamespace(wan_links=[link]))
         env.run(until=2.0)
-        assert link.profile is degraded
+        assert link.profile is not healthy
+        assert (link.profile.latency, link.profile.loss) == (0.25, 0.05)
         env.run(until=4.0)
         assert link.profile is healthy
-        (record,) = injector.net_records
+        (record,) = injector.records
         assert record.kind == "wan"
         assert record.ended_at == pytest.approx(3.0)
 
@@ -415,8 +419,8 @@ def test_zone_outage_crashes_every_east_replica():
     result = _run_geo("zone_outage")
     injector = result.fault_injector
     east = {s.name for s in result.system.servers_in_zone("east")}
-    assert {record.server for record in injector.records} == east
-    assert all(record.recovered_at is not None
+    assert {record.target for record in injector.records} == east
+    assert all(record.ended_at is not None
                for record in injector.records)
 
 

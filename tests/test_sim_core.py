@@ -40,7 +40,7 @@ def test_timeout_with_value():
 
 def test_negative_timeout_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         env.timeout(-1)
 
 
@@ -247,8 +247,19 @@ def test_nan_and_inf_schedule_rejected():
 def test_nan_and_inf_timeout_rejected():
     env = Environment()
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             env.timeout(bad)
+
+
+def test_timeout_and_schedule_reject_a_bad_delay_alike():
+    """Both ways onto the schedule raise the same class and message."""
+    env = Environment()
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(SimulationError) as from_timeout:
+            env.timeout(bad)
+        with pytest.raises(SimulationError) as from_schedule:
+            env.schedule(env.event(), delay=bad)
+        assert str(from_timeout.value) == str(from_schedule.value)
 
 
 def test_trace_hook_sees_every_dispatched_event():

@@ -205,31 +205,40 @@ class TestFaultZoo:
         env.run(until=4.0)
         assert record.ended_at == pytest.approx(3.0)
 
-    def test_overlapping_crash_windows_rejected(self):
+    def test_overlapping_crash_windows_stay_down_over_union(self,
+                                                             monkeypatch):
         env = Environment()
         server = self.make_server(env)
+        recoveries = []
+        recover = server.recover
+        monkeypatch.setattr(server, "recover", lambda: (
+            recoveries.append(env.now), recover()))
         injector = FaultInjector(env, rng=np.random.default_rng(0))
-        system = server_system(server)
-        injector.inject(CrashFault("m", at=1.0, duration=2.0), system)
-        with pytest.raises(ConfigurationError):
-            injector.inject(CrashFault("m", at=2.0, duration=1.0), system)
-        # A permanent crash overlaps everything after it.
-        with pytest.raises(ConfigurationError):
-            injector.inject(CrashFault("m", at=0.5), system)
-        # Disjoint windows are fine; other servers are independent.
-        injector.inject(CrashFault("m", at=4.0, duration=0.5), system)
-        other = FaultInjector(env, rng=np.random.default_rng(0))
-        other.inject(CrashFault("m", at=1.5, duration=1.0),
-                     server_system(self.make_server(env)))
-
-    def test_permanent_overlap_rejected_after_permanent(self):
-        env = Environment()
-        server = self.make_server(env)
-        injector = FaultInjector(env, rng=np.random.default_rng(0))
-        injector.inject(CrashFault("m", at=3.0), server_system(server))
-        with pytest.raises(ConfigurationError):
-            injector.inject(CrashFault("m", at=10.0, duration=1.0),
+        injector.inject_all((CrashFault("m", at=1.0, duration=2.0),
+                             CrashFault("m", at=2.0, duration=3.0)),
                             server_system(server))
+        for until in (1.5, 2.5, 3.5, 4.5):
+            env.run(until=until)
+            assert server.crashed
+        env.run(until=6.0)
+        assert not server.crashed
+        assert recoveries == [5.0]
+        assert [(r.started_at, r.ended_at) for r in injector.records] == [
+            (1.0, 3.0), (2.0, 5.0)]
+
+    def test_cache_crashed_twice_counts_one_cold_restart(self):
+        from repro.tiers.cache import CacheTier
+        env = Environment()
+        cache = CacheTier(env, "m", Host(env, "h"), max_threads=4,
+                          rng=np.random.default_rng(0))
+        injector = FaultInjector(env, rng=np.random.default_rng(0))
+        injector.inject_all((CrashFault("m", at=1.0, duration=2.0),
+                             CrashFault("m", at=2.0, duration=2.0)),
+                            server_system(cache))
+        env.run(until=5.0)
+        assert not cache.crashed
+        assert cache.cold_restarts == 1
+        assert cache.warm_start == 4.0
 
     def test_slow_fault_stretches_cpu_demand(self):
         env = Environment()
@@ -379,27 +388,29 @@ class TestFaultZoo:
         env.run(until=3.0)
         assert sorted(r.kind for r in injector.records) == ["crash", "slow"]
 
-    @pytest.mark.parametrize("partner", [
-        CrashFault("m", at=1.0),
-        CorrelatedCrashFault(("m",), at=1.0, jitter=0.0),
-        RecurringFault("m", kind="crash", start=5.0),
-    ], ids=["crash", "correlated", "recurring"])
+    @pytest.mark.parametrize("permanent", [
+        CrashFault("m", at=5.0),
+        CorrelatedCrashFault(("m",), at=5.0, jitter=0.0),
+    ], ids=["crash", "correlated"])
     @pytest.mark.parametrize("recurring_first", [True, False])
-    def test_recurring_crash_books_its_window(self, partner,
-                                              recurring_first):
-        """A recurring crash schedule owns ``[start, inf)`` without
-        ``until``: no other crash of its server may overlap it,
-        whichever is injected first (else a permanent crash would be
-        revived by the schedule's next recovery)."""
+    def test_permanent_crash_inside_recurring_schedule_stays_down(
+            self, permanent, recurring_first):
+        """A permanent crash inside a recurring crash schedule keeps its
+        server down: the schedule's later recoveries close only their
+        own windows."""
         recurring = RecurringFault("m", kind="crash", mean_interval=0.5,
                                    duration=0.1, start=1.2)
-        specs = ((recurring, partner) if recurring_first
-                 else (partner, recurring))
+        specs = ((recurring, permanent) if recurring_first
+                 else (permanent, recurring))
         env = Environment()
         server = self.make_server(env)
         injector = FaultInjector(env, rng=np.random.default_rng(1))
-        with pytest.raises(ConfigurationError, match="overlapping crash"):
-            injector.inject_all(specs, server_system(server))
+        injector.inject_all(specs, server_system(server))
+        env.run(until=20.0)
+        assert server.crashed
+        (forever,) = [r for r in injector.records if r.ended_at is None]
+        assert forever.started_at == 5.0
+        assert any(r.started_at > 5.0 for r in injector.records)
 
     def test_disjoint_recurring_and_permanent_crash_accepted(self):
         env = Environment()

@@ -227,6 +227,15 @@ class TestRecoveryMetric:
         assert horizon is not None
         start, end = horizon
         assert 0.0 <= start < end <= 12.0
+        # A WAN brown-out's ``jitter`` is the degraded link's latency
+        # jitter, not a crash-start offset: its window ends on time.
+        (wan,) = fault_specs("wan_degradation", 3.0)
+        assert wan.jitter > 0.0
+        assert fault_horizon((wan,)) == (wan.at, wan.at + wan.duration)
+        # A zone outage's members crash within its jitter bound.
+        (zone,) = fault_specs("zone_outage", 3.0)
+        assert fault_horizon((zone,)) == (
+            zone.at, zone.at + zone.duration + zone.jitter)
 
     def test_permanent_fault_has_no_horizon(self):
         assert fault_horizon(fault_specs("crash", 12.0)) is None

@@ -433,7 +433,7 @@ FAULT_GOLDENS = {
     "transient_crash":
         "e5e6b5e10f7f8ced3edd73f8a20afe5a1e6e1f6174fed94ecb9c69b2f3644d95",
     "wan_degradation":
-        "da8f36e2b0fea9bb0088ebdc9d0b77bce88fdd2213f48de3285912909f8cc405",
+        "7d532165e11219aaeb91547c90b84554a553bdaa4ec0093cfa9a83e36befc934",
     "zone_outage":
         "d96d3694149ae99c14aaf4d5d2a9e9dbd7774bd5f0efe1fd0ac156821444c313",
     "geo/cache_failover":
